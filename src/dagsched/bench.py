@@ -91,13 +91,21 @@ class GenConfig:
         kwargs = {}
         for name in ("collections", "dags_per_collection", "seed"):
             if name in doc:
-                kwargs[name] = int(doc[name])
+                kwargs[name] = _config_int(doc[name], name)
         if "edge_prob" in doc:
             kwargs["edge_prob"] = float(doc["edge_prob"])
         for name in ("nodes_per_dag", "wcet_range", "period_menu"):
             if name in doc:
-                kwargs[name] = tuple(int(x) for x in doc[name])
+                kwargs[name] = tuple(_config_int(x, name) for x in doc[name])
         return cls(**kwargs)
+
+
+def _config_int(value, what: str) -> int:
+    # As strict as the task-set loader: no truncated floats, digit strings
+    # or booleans.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"config field {what}: must be an integer, got {value!r}")
+    return value
 
 
 def stream(seed: int, *parts) -> random.Random:

@@ -16,6 +16,7 @@ from dataclasses import replace
 from .analysis import analyze_dag
 from .baseline import gedf_np_simulate
 from .bench import (
+    ExperimentError,
     GenConfig,
     GenerationError,
     export_report,
@@ -229,7 +230,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         _say(f"error: no such file: {exc.filename}")
         return 2
-    except (TaskSetError, GenerationError, ValueError, json.JSONDecodeError, OSError) as exc:
+    # ExperimentError (a claimed success that failed validation) is a
+    # scheduler bug, not an unschedulable input, so it must not exit with 1.
+    except (TaskSetError, GenerationError, ExperimentError, ValueError,
+            json.JSONDecodeError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
 

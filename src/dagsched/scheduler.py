@@ -12,6 +12,7 @@ schedule fits the available core count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
@@ -21,6 +22,7 @@ from .model import DagSpec, ScheduleEntry, ScheduleMap, TaskSet
 
 NOT_ENOUGH_CORES = "not_enough_cores"
 DAG_INFEASIBLE = "dag_infeasible"
+_RESTRETCH_CYCLES = 3  # restretch+sweep cycles in the last retry trial of compact
 
 
 class DagInfeasibleError(Exception):
@@ -188,7 +190,10 @@ def primary_schedule(
 
 
 class _CompactContext:
-    """Immutable per-task-set lookups used by the compaction sweeps."""
+    """Immutable per-task-set lookups used by the compaction sweeps.
+
+    Built once per task set and shared by every compact call on it.
+    """
 
     __slots__ = ("wcet", "parents", "children", "prior", "period", "work", "min_wcet")
 
@@ -213,7 +218,15 @@ class _CompactContext:
 
 
 class _Compactor:
-    """Sweep machinery over one working copy of the core lanes."""
+    """Sweep machinery over one working copy of the core lanes.
+
+    Invariant: every lane is sorted by start and no two of its entries
+    overlap.  So the hole before an entry starts at its predecessor's
+    finish, and a lane's idle tail starts at its last entry's finish.
+    Alongside each lane, widths/movers hold the same entries sorted by
+    wcet, so a fill only visits the movers narrow enough for its hole;
+    they change only when a fill moves an entry to another lane.
+    """
 
     def __init__(
         self, lanes: list[list[Placement]], ctx: _CompactContext, lo: int, hi: int, horizon: int
@@ -224,7 +237,13 @@ class _Compactor:
         self.hi = hi
         self.horizon = horizon
         self.pos: dict[tuple[int, int, int], Placement] = {}
+        self.widths: list[list[int]] = []
+        self.movers: list[list[Placement]] = []
+        wcet = ctx.wcet
         for lane in lanes:
+            by_width = sorted((wcet[(p.dag_id, p.node_id)], i) for i, p in enumerate(lane))
+            self.widths.append([w for w, _ in by_width])
+            self.movers.append([lane[i] for _, i in by_width])
             for p in lane:
                 self.pos[(p.dag_id, p.node_id, p.job)] = p
         self.dest_cache: dict[tuple[int, int, int], int] = {}
@@ -271,19 +290,25 @@ class _Compactor:
         self._moved(temp)
         return True
 
-    def _fill(self, ci: int, gap_start: int, gap_end: int) -> bool:
-        """Migrate the preferred fitting entry from a higher core into the hole."""
-        lanes, ctx = self.lanes, self.ctx
+    def _fill(self, ci: int, at: int, gap_start: int, gap_end: int) -> bool:
+        """Migrate the preferred fitting entry from a higher core into the hole.
+
+        The hole is [gap_start, gap_end) just before index at of lane ci.
+        """
+        ctx, dest_cache = self.ctx, self.dest_cache
+        room = gap_end - gap_start
         best: Placement | None = None
         best_core = -1
         best_key: tuple | None = None
         best_start = 0
         for cj in range(ci + 1, self.hi + 1):
-            for cand in lanes[cj]:
-                w = ctx.wcet[(cand.dag_id, cand.node_id)]
-                if gap_end - gap_start < w:
-                    continue
-                d = self.dest_of(cand)
+            widths, movers = self.widths[cj], self.movers[cj]
+            for k in range(bisect_right(widths, room)):
+                cand = movers[k]
+                w = widths[k]
+                d = dest_cache.get((cand.dag_id, cand.node_id, cand.job))
+                if d is None:
+                    d = self.dest_of(cand)
                 chosen = d if d > gap_start else gap_start
                 fin = chosen + w
                 if fin > gap_end:
@@ -305,14 +330,17 @@ class _Compactor:
                     best, best_core, best_key, best_start = cand, cj, key, chosen
         if best is None:
             return False
-        lanes[best_core].remove(best)
+        self.lanes[best_core].remove(best)
+        movers = self.movers[best_core]
+        k = movers.index(best)
+        del movers[k]
+        w = self.widths[best_core].pop(k)
+        k = bisect_right(self.widths[ci], w)
+        self.widths[ci].insert(k, w)
+        self.movers[ci].insert(k, best)
         width = best.finish - best.start
         best.start, best.finish = best_start, best_start + width
-        lane = lanes[ci]
-        at = 0
-        while at < len(lane) and lane[at].start < best.start:
-            at += 1
-        lane.insert(at, best)
+        self.lanes[ci].insert(at, best)
         self._moved(best)
         return True
 
@@ -327,25 +355,27 @@ class _Compactor:
         after a non-empty core's last entry counts as one more fillable
         hole, bounded by the schedule horizon.
         """
-        lanes, ctx = self.lanes, self.ctx
+        lanes, min_wcet = self.lanes, self.ctx.min_wcet
         acted = False
         for ci in range(self.lo, min(self.hi, len(lanes) - 1) + 1):
-            for temp in list(lanes[ci]):
+            lane = lanes[ci]
+            gap_start = 0
+            at = 0
+            while at < len(lane):
+                temp = lane[at]
                 gap_end = temp.start
-                gap_start = 0
-                for e in lanes[ci]:
-                    if e is not temp and e.start < gap_end and e.finish > gap_start:
-                        gap_start = e.finish
-                if gap_end <= gap_start:
-                    continue
-                if gap_end - gap_start >= ctx.min_wcet and self._fill(ci, gap_start, gap_end):
-                    acted = True
-                elif (shift_any or gap_start == 0) and self._shift(temp, gap_start):
-                    acted = True
-            if lanes[ci]:
-                tail = max(e.finish for e in lanes[ci])
-                if self.horizon - tail >= ctx.min_wcet and self._fill(ci, tail, self.horizon):
-                    acted = True
+                if gap_end > gap_start:
+                    if gap_end - gap_start >= min_wcet and self._fill(ci, at, gap_start, gap_end):
+                        acted = True
+                        at += 1  # the mover now sits just before temp
+                    elif (shift_any or gap_start == 0) and self._shift(temp, gap_start):
+                        acted = True
+                gap_start = temp.finish
+                at += 1
+            if lane and self.horizon - gap_start >= min_wcet and self._fill(
+                ci, len(lane), gap_start, self.horizon
+            ):
+                acted = True
         return acted
 
     def run(self, shift_any: bool) -> None:
@@ -395,6 +425,8 @@ def compact(
     ts: TaskSet,
     a_index: int = 0,
     b_index: int | None = None,
+    *,
+    ctx: _CompactContext | None = None,
 ) -> list[list[Placement]]:
     """Fill schedule gaps by migrating tasks toward earlier cores and times.
 
@@ -408,47 +440,51 @@ def compact(
     must respect the mover's parents' finishes, its children's starts, and
     its own period window.
 
-    Sweeps repeat until none acts.  The baseline rounds restrict the
-    self-shift to each core's free prefix; further rounds that also slide
-    interior entries left (loosening the holes for more migration) are
-    tried afterwards and kept only while they strictly reduce the core
-    count, so the result is stable: compacting a compacted schedule is a
-    no-op.  Emptied cores are dropped and the rest renumbered.  The input
-    is never mutated; busy time and the entry multiset are preserved.
+    Sweeps repeat until none acts.  The retry ladder runs baseline sweeps,
+    then a loosened sweep, then one trial of up to three restretch cycles.
+    The baseline sweeps restrict the self-shift to each core's free prefix.
+    The loosened sweep also slides interior entries left, loosening the
+    holes for more migration.  A restretch cycle pushes every entry as late
+    as it may go and re-runs the loosened sweeps, rebuilding walkable holes
+    at the front of left-welded layouts; the core count is checked after
+    each cycle.  A trial is kept only when it strictly reduces the core
+    count, and then the ladder starts again from the loosened sweep, so the
+    result is stable: compacting a compacted schedule is a no-op.  Emptied
+    cores are dropped and the rest renumbered.  The input is never mutated;
+    busy time and the entry multiset are preserved.
+
+    Every input lane must be sorted by start with no overlapping entries,
+    as primary_schedule and extend produce them.  ctx holds the lookups
+    for ts; callers that compact the same task set more than once build it
+    once and pass it in.
     """
     lanes = _copy_lanes(cores)
     if not lanes:
         return []
     hi = len(lanes) - 1 if b_index is None else b_index
-    ctx = _CompactContext(ts)
+    if ctx is None:
+        ctx = _CompactContext(ts)
     horizon = ts.hyperperiod
 
     def used(ls: list[list[Placement]]) -> int:
         return sum(1 for lane in ls if lane)
 
     _Compactor(lanes, ctx, a_index, hi, horizon).run(shift_any=False)
-    # Keep retrying harder strategies while they strictly reduce the core
-    # count: loosened sweeps (interior entries may slide left too), then
-    # shake cycles that re-stretch everything late and re-pack, escaping
-    # left-welded layouts by rebuilding the walkable holes at the front.
-    improved = True
-    while improved:
-        improved = False
-        for restretch_first, cycles in ((False, 1), (True, 1), (True, 2), (True, 3)):
+    while True:
+        target = used(lanes)
+        trial = _copy_lanes(lanes)
+        _Compactor(trial, ctx, a_index, hi, horizon).run(shift_any=True)
+        if used(trial) >= target:
             trial = _copy_lanes(lanes)
             worker = _Compactor(trial, ctx, a_index, hi, horizon)
-            for cycle in range(cycles):
-                if restretch_first or cycle > 0:
-                    worker.restretch()
+            for _ in range(_RESTRETCH_CYCLES):
+                worker.restretch()
                 worker.run(shift_any=True)
-                if used(trial) < used(lanes):
+                if used(trial) < target:
                     break
-            if used(trial) < used(lanes):
-                lanes = trial
-                improved = True
-                break
-
-    return [lane for lane in lanes if lane]
+        if used(trial) >= target:
+            return [lane for lane in lanes if lane]
+        lanes = trial
 
 
 def extend(
@@ -477,7 +513,7 @@ def extend(
 
 
 def stack_extended_schedules(
-    ts: TaskSet, trace: list[str] | None = None
+    ts: TaskSet, trace: list[str] | None = None, *, ctx: _CompactContext | None = None
 ) -> list[list[Placement]]:
     """Per-DAG pipeline up to (but not including) the final global compaction.
 
@@ -485,7 +521,10 @@ def stack_extended_schedules(
     the lowest core indices; each is primary-scheduled, compacted within its
     own cores, extended over the hyperperiod, and its core block appended.
     Raises DagInfeasibleError as soon as any DAG cannot fit its deadline.
+    ctx is passed on to every compact call (see compact).
     """
+    if ctx is None:
+        ctx = _CompactContext(ts)
     order = sorted(ts.dags, key=lambda d: (-d.utilization, d.dag_id))
     stacked: list[list[Placement]] = []
     for dag in order:
@@ -493,7 +532,7 @@ def stack_extended_schedules(
             continue
         analysis = analyze_dag(dag)
         lanes = primary_schedule(dag, analysis=analysis, trace=trace)
-        lanes = compact(lanes, ts)
+        lanes = compact(lanes, ts, ctx=ctx)
         lanes = extend(lanes, dag, ts.hyperperiod)
         stacked.extend(lanes)
     return stacked
@@ -519,8 +558,9 @@ def schedule_taskset(ts: TaskSet, m: int, trace: list[str] | None = None) -> Sch
     if m < 1:
         raise ValueError(f"core count must be >= 1, got {m}")
     try:
-        lanes = stack_extended_schedules(ts, trace=trace)
-        lanes = compact(lanes, ts)
+        ctx = _CompactContext(ts)
+        lanes = stack_extended_schedules(ts, trace=trace, ctx=ctx)
+        lanes = compact(lanes, ts, ctx=ctx)
     except DagInfeasibleError as exc:
         return ScheduleResult(
             success=False,

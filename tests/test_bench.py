@@ -81,6 +81,15 @@ def test_config_round_trip_and_validation():
         GenConfig.from_doc({"edge_probability": 0.5})
 
 
+@pytest.mark.parametrize("field", ["collections", "seed", "nodes_per_dag"])
+@pytest.mark.parametrize("value", [2.7, "5", True])
+def test_config_rejects_non_integers(field, value):
+    doc = TINY.to_doc()
+    doc[field] = [value, 8] if field == "nodes_per_dag" else value
+    with pytest.raises(ValueError, match=f"{field}: must be an integer"):
+        GenConfig.from_doc(doc)
+
+
 def test_trivial_experiment_rates_are_one():
     cfg = GenConfig(collections=1, dags_per_collection=1, nodes_per_dag=(1, 1),
                     wcet_range=(1, 1), period_menu=(5,), seed=1)

@@ -2,8 +2,17 @@ from __future__ import annotations
 
 import json
 
+from dagsched import bench
 from dagsched.cli import run_cli
-from dagsched.model import TaskSet, dumps_schedule, dumps_taskset, load_schedule, load_taskset
+from dagsched.model import (
+    TaskSet,
+    ValidationReport,
+    Violation,
+    dumps_schedule,
+    dumps_taskset,
+    load_schedule,
+    load_taskset,
+)
 from dagsched.scheduler import schedule_taskset
 
 from helpers import diamond_dag, single_node_dag
@@ -175,3 +184,22 @@ def test_schedule_infeasible_names_the_dag(tmp_path, capsys):
                                           "edges": [[1, 2]]}]}))
     assert run_cli(["schedule", "--in", str(path), "--cores", "64"]) == 1
     assert "cannot meet its deadline" in capsys.readouterr().err
+
+
+def test_bench_validation_failure_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a claimed success that fails validation is a scheduler bug: one error
+    # line naming the collection and exit 2, never status 1 or a traceback
+    def reject(mp, ts):
+        return ValidationReport(ok=False, violations=(Violation("overlap", "core 0"),))
+
+    monkeypatch.setattr(bench, "validate_schedule", reject)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"collections": 2, "dags_per_collection": 1,
+                               "nodes_per_dag": [1, 3], "wcet_range": [1, 3],
+                               "period_menu": [6]}))
+    code = run_cli(["bench", "--config", str(cfg), "--seed", "3", "--cores", "4",
+                    "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: collection 0 ")

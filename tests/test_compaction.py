@@ -1,0 +1,109 @@
+"""Compaction against its reference implementation, stage by stage.
+
+Every compact call the pipeline makes (one per DAG inside
+stack_extended_schedules, then one global pass) is recorded and replayed
+through reference_compact, which must give identical lanes.  The same
+recording checks the lane invariant compaction relies on: after per-DAG
+compaction, after extension and after global compaction every lane is
+sorted by start with no overlapping entries.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dagsched import scheduler
+from dagsched.bench import GenConfig, generate_taskset
+from dagsched.model import TaskSet, build_dag, validate_schedule
+
+from helpers import lanes_layout
+from reference_compact import reference_compact
+
+DEFAULT_COLLECTIONS = 40
+
+
+@contextmanager
+def recorded_stages():
+    """Record (stage, input lanes, output lanes) for each compact and extend call."""
+    calls: list[tuple[str, list, list]] = []
+    real_compact, real_extend = scheduler.compact, scheduler.extend
+
+    def compact(cores, ts, *args, **kwargs):
+        out = real_compact(cores, ts, *args, **kwargs)
+        calls.append(("compact", cores, out))
+        return out
+
+    def extend(cores, dag, horizon):
+        out = real_extend(cores, dag, horizon)
+        calls.append(("extend", cores, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "compact", compact)
+        mp.setattr(scheduler, "extend", extend)
+        yield calls
+
+
+def schedule_recorded(ts: TaskSet):
+    with recorded_stages() as calls:
+        result = scheduler.schedule_taskset(ts, 1 << 20)
+    assert result.success
+    return result, calls
+
+
+def assert_matches_reference(ts: TaskSet, calls) -> None:
+    compactions = [(cores, out) for stage, cores, out in calls if stage == "compact"]
+    assert len(compactions) == sum(1 for d in ts.dags if d.nodes) + 1
+    for cores, out in compactions:
+        assert lanes_layout(out) == lanes_layout(reference_compact(cores, ts))
+
+
+def assert_lanes_sorted_disjoint(lanes) -> None:
+    for lane in lanes:
+        for a, b in zip(lane, lane[1:]):
+            assert a.finish <= b.start, (a, b)
+
+
+@st.composite
+def small_tasksets(draw):
+    dags = []
+    for dag_id in range(1, draw(st.integers(1, 3)) + 1):
+        n = draw(st.integers(1, 5))
+        wcets = {i: draw(st.integers(1, 4)) for i in range(1, n + 1)}
+        edges = [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if draw(st.booleans())
+        ]
+        cp = build_dag(dag_id, 24, wcets, edges).cp_length
+        period = draw(st.sampled_from([p for p in (6, 12, 24) if p >= cp]))
+        dags.append(build_dag(dag_id, period, wcets, edges))
+    return TaskSet.build(dags)
+
+
+def test_default_collections_match_reference():
+    cfg = GenConfig()
+    for c in range(DEFAULT_COLLECTIONS):
+        ts, _ = generate_taskset(cfg, c)
+        _, calls = schedule_recorded(ts)
+        assert_matches_reference(ts, calls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_tasksets())
+def test_small_tasksets_match_reference(ts):
+    _, calls = schedule_recorded(ts)
+    assert_matches_reference(ts, calls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_tasksets())
+def test_every_stage_keeps_lanes_sorted_and_valid(ts):
+    result, calls = schedule_recorded(ts)
+    # compact outputs cover the per-DAG and global stages, extend outputs
+    # the extension stage
+    for _, _, out in calls:
+        assert_lanes_sorted_disjoint(out)
+    assert validate_schedule(result.schedule, ts).ok
