@@ -1,57 +1,3 @@
 """Offline semi-partitioned scheduling of periodic hard real-time DAG task sets."""
 
-from .analysis import (
-    Cluster,
-    DagAnalysis,
-    NodeAnalysis,
-    analyze_dag,
-    clusters,
-    critical_path,
-    est_lft,
-    estimate_min_cores,
-    prior_plus,
-    rank,
-)
-from .baseline import MissLocus, SimResult, gedf_np_simulate
-from .bench import (
-    ExperimentReport,
-    GenConfig,
-    GenerationError,
-    generate_dag,
-    generate_taskset,
-    render_gantt,
-    run_experiment,
-)
-from .model import (
-    DagSpec,
-    ScheduleEntry,
-    ScheduleMap,
-    TaskNode,
-    TaskSet,
-    TaskSetError,
-    TickOverflowError,
-    ValidationReport,
-    build_dag,
-    dumps_schedule,
-    dumps_taskset,
-    hyperperiod,
-    load_schedule,
-    load_taskset,
-    validate_schedule,
-)
-from .scheduler import (
-    DAG_INFEASIBLE,
-    NOT_ENOUGH_CORES,
-    DagInfeasibleError,
-    Placement,
-    ScheduleResult,
-    compact,
-    dynamic_est,
-    dynamic_lft,
-    extend,
-    primary_schedule,
-    schedule_taskset,
-    stack_extended_schedules,
-)
-
 __version__ = "0.1.0"

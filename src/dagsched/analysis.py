@@ -58,20 +58,6 @@ class DagAnalysis:
     feasible: bool
 
 
-def topological_order(dag: DagSpec) -> list[int]:
-    indeg = {n.node_id: len(n.parents) for n in dag.nodes}
-    ready = sorted(nid for nid, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        for c in dag.node(nid).children:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return order
-
-
 def prior_plus(dag: DagSpec) -> dict[int, int]:
     """Each node's wcet plus the wcets of all its ancestors, counted once.
 
@@ -82,7 +68,7 @@ def prior_plus(dag: DagSpec) -> dict[int, int]:
     wcet_by_idx = [n.wcet for n in dag.nodes]
     ancestors: dict[int, int] = {}
     result: dict[int, int] = {}
-    for nid in topological_order(dag):
+    for nid in dag.topo_order:
         mask = 0
         for p in dag.node(nid).parents:
             mask |= ancestors[p] | (1 << idx[p])
@@ -113,7 +99,7 @@ def est_lft(dag: DagSpec) -> dict[int, tuple[int, int]]:
     Backward pass: it must finish early enough for its slowest child chain
     to still meet the deadline.
     """
-    order = topological_order(dag)
+    order = dag.topo_order
     est: dict[int, int] = {}
     for nid in order:
         node = dag.node(nid)
@@ -132,7 +118,7 @@ def critical_path(dag: DagSpec) -> tuple[list[int], int]:
     """
     if not dag.nodes:
         return [], 0
-    order = topological_order(dag)
+    order = dag.topo_order
     # Heaviest path starting at each node.
     tail: dict[int, int] = {}
     for nid in reversed(order):

@@ -93,7 +93,10 @@ class GenConfig:
             if name in doc:
                 kwargs[name] = _config_int(doc[name], name)
         if "edge_prob" in doc:
-            kwargs["edge_prob"] = float(doc["edge_prob"])
+            value = doc["edge_prob"]
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"config field edge_prob: must be a number, got {value!r}")
+            kwargs["edge_prob"] = float(value)
         for name in ("nodes_per_dag", "wcet_range", "period_menu"):
             if name in doc:
                 kwargs[name] = tuple(_config_int(x, name) for x in doc[name])
@@ -127,22 +130,14 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec:
     return build_dag(dag_id, period, wcets, edges)
 
 
-def generate_dag(cfg: GenConfig, rng: random.Random, dag_id: int = 1) -> DagSpec:
-    """Draw one random DAG, redrawing until its critical path fits the period.
+def generate_taskset(cfg: GenConfig, collection_index: int) -> tuple[TaskSet, int]:
+    """Build one collection. Returns the task set and the number of redraws.
 
     Infeasible draws (critical path longer than the drawn period) measure
     nothing about a scheduler, so they are rejected wholesale and the DAG is
-    redrawn; after MAX_DRAWS attempts a GenerationError names the config.
+    redrawn; after MAX_DRAWS attempts a GenerationError names the collection,
+    the DAG and the config.
     """
-    for _ in range(MAX_DRAWS):
-        dag = _draw_dag(cfg, rng, dag_id)
-        if dag.cp_length <= dag.period:
-            return dag
-    raise GenerationError(f"no feasible DAG after {MAX_DRAWS} draws with config {cfg.to_doc()}")
-
-
-def generate_taskset(cfg: GenConfig, collection_index: int) -> tuple[TaskSet, int]:
-    """Build one collection. Returns the task set and the number of redraws."""
     dags = []
     redraws = 0
     for d in range(1, cfg.dags_per_collection + 1):

@@ -70,7 +70,8 @@ class DagSpec:
     """One periodic DAG with derived totals.
 
     deadline always equals period; total_work is the sum of node wcets and
-    cp_length the weight of the heaviest directed path.
+    cp_length the weight of the heaviest directed path.  topo_order is the
+    node ids in the topological order build_dag's cycle check found.
     """
 
     dag_id: int
@@ -79,6 +80,7 @@ class DagSpec:
     total_work: int
     cp_length: int
     nodes: tuple[TaskNode, ...]
+    topo_order: tuple[int, ...] = field(repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,7 +155,8 @@ def build_dag(
     """Assemble a DagSpec from raw node weights and precedence edges.
 
     wcets maps node id to execution time; edges are (parent, child) pairs.
-    Derived fields (total work, critical-path length) are computed here.
+    Derived fields (total work, critical-path length, topological order)
+    are computed here.
     Raises TaskSetError for non-positive weights or periods, dangling edge
     endpoints, and cycles (the error names one offending cycle).
     """
@@ -211,6 +214,7 @@ def build_dag(
         total_work=sum(wcets.values()),
         cp_length=cp_length,
         nodes=nodes,
+        topo_order=tuple(order),
     )
 
 

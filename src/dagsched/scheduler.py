@@ -46,9 +46,6 @@ class Placement:
         self.start = start
         self.finish = finish
 
-    def key(self) -> tuple[int, int, int, int, int]:
-        return (self.dag_id, self.node_id, self.job, self.start, self.finish)
-
     def __repr__(self):
         return (
             f"Placement(dag={self.dag_id}, node={self.node_id}, job={self.job}, "
@@ -86,35 +83,6 @@ def dynamic_lft(dag: DagSpec, lft: Mapping[int, int], node_id: int,
     if not node.children:
         return lft[node_id]
     return min(finish_of[c] - dag.node(c).wcet for c in node.children)
-
-
-def dynamic_est(dag: DagSpec, node_id: int,
-                placements: Mapping[int, tuple[int, int]]) -> int:
-    """Earliest legal start for a node given where its parents actually sit.
-
-    placements maps placed node ids to (start, finish).  A placed parent
-    constrains by its real finish; an unplaced one by its own earliest
-    possible finish, recursively.  Moving a parent therefore shifts the
-    earliest legal start of all its descendants.
-    """
-    memo: dict[int, int] = {}
-
-    def earliest(nid: int) -> int:
-        if nid in memo:
-            return memo[nid]
-        node = dag.node(nid)
-        best = 0
-        for p in node.parents:
-            if p in placements:
-                cand = placements[p][1]
-            else:
-                cand = earliest(p) + dag.node(p).wcet
-            if cand > best:
-                best = cand
-        memo[nid] = best
-        return best
-
-    return earliest(node_id)
 
 
 def primary_schedule(
@@ -228,13 +196,9 @@ class _Compactor:
     they change only when a fill moves an entry to another lane.
     """
 
-    def __init__(
-        self, lanes: list[list[Placement]], ctx: _CompactContext, lo: int, hi: int, horizon: int
-    ):
+    def __init__(self, lanes: list[list[Placement]], ctx: _CompactContext, horizon: int):
         self.lanes = lanes
         self.ctx = ctx
-        self.lo = lo
-        self.hi = hi
         self.horizon = horizon
         self.pos: dict[tuple[int, int, int], Placement] = {}
         self.widths: list[list[int]] = []
@@ -301,7 +265,7 @@ class _Compactor:
         best_core = -1
         best_key: tuple | None = None
         best_start = 0
-        for cj in range(ci + 1, self.hi + 1):
+        for cj in range(ci + 1, len(self.lanes)):
             widths, movers = self.widths[cj], self.movers[cj]
             for k in range(bisect_right(widths, room)):
                 cand = movers[k]
@@ -357,8 +321,7 @@ class _Compactor:
         """
         lanes, min_wcet = self.lanes, self.ctx.min_wcet
         acted = False
-        for ci in range(self.lo, min(self.hi, len(lanes) - 1) + 1):
-            lane = lanes[ci]
+        for ci, lane in enumerate(lanes):
             gap_start = 0
             at = 0
             while at < len(lane):
@@ -385,7 +348,7 @@ class _Compactor:
             pass
 
     def restretch(self) -> None:
-        """Push every in-range entry as late as children, deadline, and core allow.
+        """Push every entry as late as children, deadline, and core allow.
 
         The mirror of left-shifting: slack accumulates again at the front
         of each core, where the gap walk can reach it.  Processing in
@@ -393,8 +356,8 @@ class _Compactor:
         the entries they constrain, so the result stays valid.
         """
         order = []
-        for ci in range(self.lo, min(self.hi, len(self.lanes) - 1) + 1):
-            for idx, p in enumerate(self.lanes[ci]):
+        for ci, lane in enumerate(self.lanes):
+            for idx, p in enumerate(lane):
                 order.append((p.start, ci, idx, p))
         order.sort(key=lambda t: (-t[0], -t[1], -t[2]))
         head: list[int | None] = [None] * len(self.lanes)
@@ -423,17 +386,15 @@ def _copy_lanes(cores: Sequence[Sequence[Placement]]) -> list[list[Placement]]:
 def compact(
     cores: Sequence[Sequence[Placement]],
     ts: TaskSet,
-    a_index: int = 0,
-    b_index: int | None = None,
     *,
     ctx: _CompactContext | None = None,
 ) -> list[list[Placement]]:
     """Fill schedule gaps by migrating tasks toward earlier cores and times.
 
-    Walks cores in ascending index over [a_index, b_index].  For each entry,
-    the gap is the hole between its predecessor's finish on that core (the
-    core's start, for the first entry) and its own start.  One action fills
-    it: the best-fitting task from a higher-indexed core moves in — lowest
+    Walks cores in ascending index.  For each entry, the gap is the hole
+    between its predecessor's finish on that core (the core's start, for
+    the first entry) and its own start.  One action fills it: the
+    best-fitting task from a higher-indexed core moves in — lowest
     effective prior-plus load first, then earliest feasible finish, then
     smallest penalty (chosen start minus gap start) — or, when no mover
     fits, the entry itself shifts left to its earliest legal start.  A move
@@ -461,7 +422,6 @@ def compact(
     lanes = _copy_lanes(cores)
     if not lanes:
         return []
-    hi = len(lanes) - 1 if b_index is None else b_index
     if ctx is None:
         ctx = _CompactContext(ts)
     horizon = ts.hyperperiod
@@ -469,14 +429,14 @@ def compact(
     def used(ls: list[list[Placement]]) -> int:
         return sum(1 for lane in ls if lane)
 
-    _Compactor(lanes, ctx, a_index, hi, horizon).run(shift_any=False)
+    _Compactor(lanes, ctx, horizon).run(shift_any=False)
     while True:
         target = used(lanes)
         trial = _copy_lanes(lanes)
-        _Compactor(trial, ctx, a_index, hi, horizon).run(shift_any=True)
+        _Compactor(trial, ctx, horizon).run(shift_any=True)
         if used(trial) >= target:
             trial = _copy_lanes(lanes)
-            worker = _Compactor(trial, ctx, a_index, hi, horizon)
+            worker = _Compactor(trial, ctx, horizon)
             for _ in range(_RESTRETCH_CYCLES):
                 worker.restretch()
                 worker.run(shift_any=True)

@@ -9,15 +9,14 @@ from dagsched.bench import (
     BASELINE,
     PROPOSED,
     GenConfig,
+    GenerationError,
     dumps_report,
     dumps_report_csv,
     export_report,
-    generate_dag,
     generate_taskset,
     load_report,
     render_gantt,
     run_experiment,
-    stream,
 )
 from dagsched.model import TaskSet, dumps_taskset, validate_schedule
 from dagsched.scheduler import schedule_taskset
@@ -37,14 +36,14 @@ TINY = GenConfig(
 
 def test_generate_p0_has_no_edges():
     cfg = GenConfig(edge_prob=0.0, nodes_per_dag=(6, 6), wcet_range=(1, 3), period_menu=(50,))
-    dag = generate_dag(cfg, stream(1, "x"))
+    dag = generate_taskset(cfg, 0)[0].dags[0]
     assert all(not n.parents and not n.children for n in dag.nodes)
     assert dag.cp_length == max(n.wcet for n in dag.nodes)
 
 
 def test_generate_p1_is_a_total_chain():
     cfg = GenConfig(edge_prob=1.0, nodes_per_dag=(5, 5), wcet_range=(1, 3), period_menu=(50,))
-    dag = generate_dag(cfg, stream(2, "x"))
+    dag = generate_taskset(cfg, 0)[0].dags[0]
     assert dag.cp_length == dag.total_work
     # labels follow the topological order: every i -> j edge has i < j
     for node in dag.nodes:
@@ -81,13 +80,25 @@ def test_config_round_trip_and_validation():
         GenConfig.from_doc({"edge_probability": 0.5})
 
 
-@pytest.mark.parametrize("field", ["collections", "seed", "nodes_per_dag"])
-@pytest.mark.parametrize("value", [2.7, "5", True])
+@pytest.mark.parametrize(
+    "value,field",
+    [(v, f) for v in (2.7, "5", True) for f in ("collections", "seed", "nodes_per_dag")]
+    + [("0.5", "edge_prob"), (True, "edge_prob")],
+)
 def test_config_rejects_non_integers(field, value):
+    # edge_prob is the one float field: any number but a bool passes
     doc = TINY.to_doc()
     doc[field] = [value, 8] if field == "nodes_per_dag" else value
-    with pytest.raises(ValueError, match=f"{field}: must be an integer"):
+    kind = "a number" if field == "edge_prob" else "an integer"
+    with pytest.raises(ValueError, match=f"{field}: must be {kind}"):
         GenConfig.from_doc(doc)
+
+
+def test_generation_gives_up_after_the_draw_budget():
+    # every draw is a 5-node chain of wcet 10: critical path 50 > period 10
+    cfg = GenConfig(edge_prob=1.0, nodes_per_dag=(5, 5), wcet_range=(10, 10), period_menu=(10,))
+    with pytest.raises(GenerationError, match=r"collection 0, dag 1\b"):
+        generate_taskset(cfg, 0)
 
 
 def test_trivial_experiment_rates_are_one():

@@ -113,6 +113,20 @@ def test_gen_writes_loadable_taskset(tmp_path):
     assert len(ts.dags) == 3
 
 
+def test_gen_exhausted_draw_budget_is_exit_2(tmp_path, capsys):
+    # no draw fits: a 5-node chain of wcet 10 against a period of 10
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"edge_prob": 1.0, "nodes_per_dag": [5, 5],
+                               "wcet_range": [10, 10], "period_menu": [10]}))
+    code = run_cli(["gen", "--config", str(cfg), "--seed", "0",
+                    "--out", str(tmp_path / "gen.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert "collection 0, dag 1," in err[0]
+
+
 def test_analyze_emits_table(tmp_path, capsys):
     ts_path, _ = write_diamond(tmp_path)
     assert run_cli(["analyze", "--in", str(ts_path)]) == 0

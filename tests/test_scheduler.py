@@ -11,7 +11,6 @@ from dagsched.scheduler import (
     NOT_ENOUGH_CORES,
     DagInfeasibleError,
     compact,
-    dynamic_est,
     dynamic_lft,
     extend,
     primary_schedule,
@@ -48,14 +47,6 @@ def test_dynamic_lft_examples(diamond):
     assert dynamic_lft(diamond, lft, 4, {}) == 8  # exit node: its own latest finish
     assert dynamic_lft(diamond, lft, 2, {4: 8}) == 7  # child pinned at [7,8)
     assert dynamic_lft(diamond, lft, 1, {2: 7, 3: 7}) == 4  # min(7-3, 7-2)
-
-
-def test_dynamic_est_examples(diamond):
-    assert dynamic_est(diamond, 1, {}) == 0  # entry node
-    assert dynamic_est(diamond, 3, {1: (3, 4)}) == 4  # placed parent's real finish
-    assert dynamic_est(diamond, 3, {1: (0, 1)}) == 1  # moving the parent moves it
-    # unplaced parent falls back on its own earliest finish, recursively
-    assert dynamic_est(diamond, 4, {}) == 4
 
 
 # --- primary scheduling ------------------------------------------------------
@@ -166,27 +157,6 @@ def test_compact_preserves_entries_and_core_count(diamond_ts):
         got = compact(lanes, ts)
         assert len(got) <= len([lane for lane in lanes if lane])
         assert entry_multiset(got) == entry_multiset(lanes)
-
-
-def test_compact_respects_core_range():
-    from dagsched.scheduler import Placement
-
-    ts = TaskSet.build(
-        [
-            build_dag(1, 10, {1: 2}),
-            build_dag(2, 10, {1: 1}),
-            build_dag(3, 10, {1: 3}),
-        ]
-    )
-    lanes = [
-        [Placement(1, 1, 0, 8, 10)],
-        [Placement(2, 1, 0, 9, 10)],
-        [Placement(3, 1, 0, 7, 10)],  # outside [0, 1]: must not move
-    ]
-    got = compact(lanes, ts, a_index=0, b_index=1)
-    flat = {(p.dag_id, p.start, p.finish) for lane in got for p in lane}
-    assert (3, 7, 10) in flat  # untouched
-    assert len(got) == 2  # dag 2's entry merged next to dag 1's core
 
 
 # --- extension ---------------------------------------------------------------
