@@ -18,14 +18,6 @@ from .model import DagSpec
 
 
 @dataclass(frozen=True)
-class NodeAnalysis:
-    prior_plus: int
-    est: int
-    lft: int
-    rank_pos: int  # 0 = highest priority
-
-
-@dataclass(frozen=True)
 class Cluster:
     """A group of nodes competing for the same stretch of the period.
 
@@ -44,15 +36,20 @@ class Cluster:
 class DagAnalysis:
     """Bundle of every per-DAG analysis result.
 
-    clusters and min_cores are only populated when the DAG is feasible
-    (critical path fits in the deadline); an infeasible DAG cannot be
-    scheduled on any number of cores, so no core estimate exists for it.
+    prior_plus, est, lft and rank_pos map each node id to its prior-plus
+    load, earliest start, latest finish and position in rank_order (0 =
+    highest priority).  clusters and min_cores are only populated when the
+    DAG is feasible (critical path fits in the deadline); an infeasible DAG
+    cannot be scheduled on any number of cores, so no core estimate exists
+    for it.
     """
 
-    per_node: Mapping[int, NodeAnalysis]
+    prior_plus: dict[int, int]
+    est: dict[int, int]
+    lft: dict[int, int]
+    rank_pos: dict[int, int]
     rank_order: tuple[int, ...]
     cp_nodes: tuple[int, ...]
-    cp_length: int
     clusters: tuple[Cluster, ...]
     min_cores: int | None
     feasible: bool
@@ -188,29 +185,21 @@ def analyze_dag(dag: DagSpec) -> DagAnalysis:
     """Run the full per-DAG analysis pipeline."""
     pp = prior_plus(dag)
     order = rank(dag, pp)
-    pos = {nid: i for i, nid in enumerate(order)}
     levels = est_lft(dag)
-    cp_nodes, cp_len = critical_path(dag)
-    feasible = cp_len <= dag.deadline
+    cp_nodes, _ = critical_path(dag)
+    feasible = dag.cp_length <= dag.deadline
     cluster_list: tuple[Cluster, ...] = ()
     min_cores = None
     if feasible and dag.nodes:
         cluster_list = tuple(clusters(dag, levels, cp_nodes))
         min_cores = estimate_min_cores(cluster_list)
-    per_node = {
-        nid: NodeAnalysis(
-            prior_plus=pp[nid],
-            est=levels[nid][0],
-            lft=levels[nid][1],
-            rank_pos=pos[nid],
-        )
-        for nid in dag.node_ids
-    }
     return DagAnalysis(
-        per_node=per_node,
+        prior_plus=pp,
+        est={nid: e for nid, (e, _) in levels.items()},
+        lft={nid: f for nid, (_, f) in levels.items()},
+        rank_pos={nid: i for i, nid in enumerate(order)},
         rank_order=tuple(order),
         cp_nodes=tuple(cp_nodes),
-        cp_length=cp_len,
         clusters=cluster_list,
         min_cores=min_cores,
         feasible=feasible,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .baseline import gedf_np_simulate
 from .model import DagSpec, ScheduleMap, TaskSet, build_dag, validate_schedule
@@ -195,87 +195,92 @@ class ExperimentReport:
     rows: tuple[Row, ...]
 
 
-def _mean(values: list[float]) -> float | None:
+def _mean(values: list[float | None]) -> float | None:
+    values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else None
+
+
+def _validate(mp: ScheduleMap, ts: TaskSet, cfg: GenConfig, c: int, what: str) -> None:
+    report = validate_schedule(mp, ts)
+    if not report.ok:
+        first = report.violations[0]
+        raise ExperimentError(
+            f"collection {c} (seed {cfg.seed}): {what} failed validation: "
+            f"{first.kind}: {first.where}"
+        )
+
+
+def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[Row], int]:
+    """Generate collection c and run both algorithms on it for every m in ms.
+
+    Returns the collection's rows (for each m, the proposed row then the
+    baseline row) and its redraw count.  The proposed scheduler's placement
+    does not depend on the core budget (the budget only gates acceptance),
+    so the collection is scheduled once at max(ms) and compared against
+    every m; the baseline is simulated per m.  Every claimed success is
+    re-checked by the validator, and a validation failure raises
+    ExperimentError naming the collection for replay.
+    """
+    ts, redraws = generate_taskset(cfg, c)
+    res = schedule_taskset(ts, max(ms))
+    used = res.cores_used
+    p_util = None
+    if res.success:
+        _validate(res.schedule, ts, cfg, c, "scheduler output")
+        if used:
+            p_util = sum(res.schedule.busy_per_core) / (used * ts.hyperperiod)
+    rows = []
+    for m in ms:
+        p_ok = res.reason != DAG_INFEASIBLE and used <= m
+        rows.append(
+            Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
+        )
+        sim = gedf_np_simulate(ts, m)
+        b_used = sim.trace.used_cores
+        b_util = None
+        if sim.success:
+            _validate(sim.trace, ts, cfg, c, "baseline trace")
+            if b_used:
+                b_util = sum(sim.trace.busy_per_core) / (b_used * ts.hyperperiod)
+        rows.append(Row(c, m, BASELINE, sim.success, b_used, b_util, ts.hyperperiod, cfg.seed))
+    return rows, redraws
+
+
+def _summarize(m: int, collections: int, rows: list[Row]) -> MSummary:
+    p, b = ([r for r in rows if r.m == m and r.algorithm == alg and r.success]
+            for alg in (PROPOSED, BASELINE))
+    return MSummary(
+        m=m,
+        collections=collections,
+        proposed_successes=len(p),
+        baseline_successes=len(b),
+        proposed_success_rate=len(p) / collections if collections else 0.0,
+        baseline_success_rate=len(b) / collections if collections else 0.0,
+        proposed_utilization=_mean([r.utilization for r in p]),
+        baseline_utilization=_mean([r.utilization for r in b]),
+    )
 
 
 def run_experiment(cfg: GenConfig, core_counts: list[int]) -> ExperimentReport:
     """Schedule every collection with both algorithms across the core sweep.
 
-    The proposed scheduler's placement does not depend on the core budget
-    (the budget only gates acceptance), so each collection is scheduled once
-    and compared against every m; the baseline is simulated per m.  Every
-    claimed success is re-checked by the validator, and a validation failure
-    aborts the whole experiment naming the collection for replay.
+    Each collection goes through _run_collection; the per-m summary is
+    aggregated from the rows, in collection order.
     """
     ms = tuple(int(m) for m in core_counts)
     if not ms or any(m < 1 for m in ms):
         raise ValueError(f"core_counts must list positive core counts, got {core_counts}")
     rows: list[Row] = []
-    acc: dict[int, list] = {m: [0, 0, [], []] for m in ms}
     regenerated = 0
     for c in range(cfg.collections):
-        ts, redraws = generate_taskset(cfg, c)
+        got, redraws = _run_collection(cfg, ms, c)
+        rows.extend(got)
         regenerated += redraws
-
-        # One unbounded-cores run stands in for every m in the sweep.
-        res = schedule_taskset(ts, max(ms))
-        used = res.cores_used
-        feasible = res.reason != DAG_INFEASIBLE
-        p_util = None
-        if feasible and used:
-            p_util = sum(res.busy_per_core) / (used * ts.hyperperiod)
-        if res.success:
-            report = validate_schedule(res.schedule, ts)
-            if not report.ok:
-                raise ExperimentError(
-                    f"collection {c} (seed {cfg.seed}): scheduler output failed validation: "
-                    f"{report.violations[0].kind}: {report.violations[0].where}"
-                )
-
-        for m in ms:
-            p_ok = feasible and used <= m
-            rows.append(
-                Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
-            )
-            if p_ok:
-                acc[m][0] += 1
-                acc[m][2].append(p_util)
-
-            sim = gedf_np_simulate(ts, m)
-            b_used = sim.trace.used_cores
-            b_util = None
-            if sim.success:
-                report = validate_schedule(sim.trace, ts)
-                if not report.ok:
-                    raise ExperimentError(
-                        f"collection {c} (seed {cfg.seed}): baseline trace failed validation: "
-                        f"{report.violations[0].kind}: {report.violations[0].where}"
-                    )
-                if b_used:
-                    b_util = sum(sim.trace.busy_per_core) / (b_used * ts.hyperperiod)
-                acc[m][1] += 1
-                acc[m][3].append(b_util)
-            rows.append(Row(c, m, BASELINE, sim.success, b_used, b_util, ts.hyperperiod, cfg.seed))
-
-    summary = tuple(
-        MSummary(
-            m=m,
-            collections=cfg.collections,
-            proposed_successes=acc[m][0],
-            baseline_successes=acc[m][1],
-            proposed_success_rate=acc[m][0] / cfg.collections if cfg.collections else 0.0,
-            baseline_success_rate=acc[m][1] / cfg.collections if cfg.collections else 0.0,
-            proposed_utilization=_mean(acc[m][2]),
-            baseline_utilization=_mean([u for u in acc[m][3] if u is not None]),
-        )
-        for m in ms
-    )
     return ExperimentReport(
         config=cfg,
         core_counts=ms,
         regenerated=regenerated,
-        summary=summary,
+        summary=tuple(_summarize(m, cfg.collections, rows) for m in ms),
         rows=tuple(rows),
     )
 
@@ -359,35 +364,33 @@ def export_report(report: ExperimentReport, prefix: str) -> tuple[str, str]:
 
 
 def spot_check_report(report: ExperimentReport, sample: int = 3) -> None:
-    """Re-derive a few collections of a loaded report and re-validate them.
+    """Re-derive a few collections of a loaded report and compare their rows.
 
     Reports carry no schedules, but every row is reproducible from the
-    config and seed; this regenerates a sample of collections, re-runs both
-    algorithms, confirms the recorded outcomes, and re-validates every
-    claimed success.  Raises ExperimentError on any mismatch.
+    config and seed; this reruns a sample of collections through the same
+    per-collection path as run_experiment, which re-validates every claimed
+    success, and requires rows equal to the report's.  Raises
+    ExperimentError on any mismatch.
     """
     if not report.rows:
         return
     collections = sorted({r.collection for r in report.rows})
     step = max(1, len(collections) // max(1, sample))
     for c in collections[::step][:sample]:
-        ts, _ = generate_taskset(report.config, c)
-        for m in report.core_counts:
-            res = schedule_taskset(ts, m)
-            sim = gedf_np_simulate(ts, m)
-            for r in report.rows:
-                if r.collection != c or r.m != m:
-                    continue
-                fresh = res.success if r.algorithm == PROPOSED else sim.success
-                if r.success != fresh:
-                    raise ExperimentError(
-                        f"collection {c} m={m} {r.algorithm}: report says "
-                        f"success={r.success}, rerun says {fresh}"
-                    )
-            if res.success and not validate_schedule(res.schedule, ts).ok:
-                raise ExperimentError(f"collection {c} m={m}: rerun schedule is invalid")
-            if sim.success and not validate_schedule(sim.trace, ts).ok:
-                raise ExperimentError(f"collection {c} m={m}: rerun trace is invalid")
+        recorded = [r for r in report.rows if r.collection == c]
+        fresh, _ = _run_collection(report.config, report.core_counts, c)
+        if recorded == fresh:
+            continue
+        if len(recorded) != len(fresh):
+            raise ExperimentError(
+                f"collection {c}: report says {len(recorded)} rows, rerun says {len(fresh)}"
+            )
+        got, row = next((g, r) for g, r in zip(recorded, fresh) if g != r)
+        name = next(f.name for f in fields(Row) if getattr(got, f.name) != getattr(row, f.name))
+        raise ExperimentError(
+            f"collection {c} m={row.m} {row.algorithm}: report says "
+            f"{name}={getattr(got, name)!r}, rerun says {getattr(row, name)!r}"
+        )
 
 
 # --- Gantt rendering ---------------------------------------------------------

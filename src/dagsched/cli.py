@@ -64,12 +64,12 @@ def _cmd_analyze(args) -> int:
                     {
                         "id": nid,
                         "wcet": dag.node(nid).wcet,
-                        "prior_plus": na.prior_plus,
-                        "est": na.est,
-                        "lft": na.lft,
-                        "rank": na.rank_pos,
+                        "prior_plus": analysis.prior_plus[nid],
+                        "est": analysis.est[nid],
+                        "lft": analysis.lft[nid],
+                        "rank": analysis.rank_pos[nid],
                     }
-                    for nid, na in sorted(analysis.per_node.items())
+                    for nid in sorted(dag.node_ids)
                 ],
             }
         )
@@ -232,8 +232,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 2
     # ExperimentError (a claimed success that failed validation) is a
     # scheduler bug, not an unschedulable input, so it must not exit with 1.
+    # OverflowError covers a hyperperiod beyond the 64-bit tick range.
     except (TaskSetError, GenerationError, ExperimentError, ValueError,
-            json.JSONDecodeError, OSError) as exc:
+            OverflowError, json.JSONDecodeError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
 

@@ -15,6 +15,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 TICK_MAX = 2**64 - 1
+# Job instances per hyperperiod a task set may expand to: extension, the
+# validator and the GEDF-NP simulator each materialise every one of them.
+JOB_BUDGET = 10**6
 
 # Violation kinds reported by validate_schedule.
 OVERLAP = "overlap"
@@ -108,7 +111,7 @@ class DagSpec:
 
 @dataclass(frozen=True)
 class TaskSet:
-    """A set of periodic DAGs plus the derived hyperperiod."""
+    """A set of periodic DAGs plus the derived hyperperiod (build: at most JOB_BUDGET jobs)."""
 
     dags: tuple[DagSpec, ...]
     hyperperiod: int
@@ -126,7 +129,15 @@ class TaskSet:
         ids = [d.dag_id for d in dags]
         if ids != list(range(1, len(dags) + 1)):
             raise TaskSetError(f"dag ids must be dense 1..n, got {ids}")
-        return cls(dags=dags, hyperperiod=hyperperiod(d.period for d in dags))
+        h = hyperperiod(d.period for d in dags)
+        jobs = [len(d.nodes) * (h // d.period) for d in dags]
+        if sum(jobs) > JOB_BUDGET:
+            counts = ", ".join(f"dag {d.dag_id}: {n}" for d, n in zip(dags, jobs))
+            raise TaskSetError(
+                f"hyperperiod {h} expands to {sum(jobs)} jobs, over the budget of "
+                f"{JOB_BUDGET} ({counts})"
+            )
+        return cls(dags=dags, hyperperiod=h)
 
 
 def _find_cycle(dag_id: int, remaining: set[int], parents: Mapping[int, set[int]]) -> str:

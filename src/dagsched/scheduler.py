@@ -66,7 +66,6 @@ class ScheduleResult:
     success: bool
     schedule: ScheduleMap | None
     cores_used: int
-    busy_per_core: tuple[int, ...]
     reason: str | None = None
     infeasible: tuple[int, int] | None = None
 
@@ -87,7 +86,6 @@ def dynamic_lft(dag: DagSpec, lft: Mapping[int, int], node_id: int,
 
 def primary_schedule(
     dag: DagSpec,
-    start_cores: int | None = None,
     analysis: DagAnalysis | None = None,
     trace: list[str] | None = None,
 ) -> list[list[Placement]]:
@@ -106,11 +104,9 @@ def primary_schedule(
         return []
     if analysis is None:
         analysis = analyze_dag(dag)
-    lft = {nid: na.lft for nid, na in analysis.per_node.items()}
-    est = {nid: na.est for nid, na in analysis.per_node.items()}
-    rank_pos = {nid: na.rank_pos for nid, na in analysis.per_node.items()}
+    lft, est, rank_pos = analysis.lft, analysis.est, analysis.rank_pos
 
-    cores = max(1, start_cores if start_cores is not None else (analysis.min_cores or 1))
+    cores = analysis.min_cores or 1
     lanes: list[list[Placement]] = [[] for _ in range(cores)]
     free_until = [dag.deadline] * cores  # start of each core's earliest entry
 
@@ -453,7 +449,10 @@ def extend(
     """Repeat a one-period schedule across the hyperperiod.
 
     Copy k carries job index k with all starts and finishes shifted by
-    k periods; the core layout is unchanged.
+    k periods; the core layout is unchanged.  Each input lane must be
+    sorted by start with every entry inside [0, period), as compact leaves
+    a one-period schedule; then copy k lies in [k*period, (k+1)*period),
+    so the job-major concatenation is already sorted by start.
     """
     if horizon % dag.period != 0:
         raise ValueError(
@@ -467,7 +466,6 @@ def extend(
             for k in range(copies)
             for p in lane
         ]
-        extended.sort(key=lambda p: p.start)
         out.append(extended)
     return out
 
@@ -526,23 +524,19 @@ def schedule_taskset(ts: TaskSet, m: int, trace: list[str] | None = None) -> Sch
             success=False,
             schedule=None,
             cores_used=0,
-            busy_per_core=(),
             reason=DAG_INFEASIBLE,
             infeasible=(exc.dag_id, exc.node_id),
         )
     used = len(lanes)
-    busy = tuple(sum(p.finish - p.start for p in lane) for lane in lanes)
     if used > m:
         return ScheduleResult(
             success=False,
             schedule=None,
             cores_used=used,
-            busy_per_core=busy,
             reason=NOT_ENOUGH_CORES,
         )
     return ScheduleResult(
         success=True,
         schedule=_to_schedule_map(lanes),
         cores_used=used,
-        busy_per_core=busy,
     )

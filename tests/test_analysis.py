@@ -134,7 +134,7 @@ def test_analyze_dag_bundles_and_infeasible_flag(diamond):
     analysis = analyze_dag(diamond)
     assert analysis.feasible and analysis.min_cores == 2
     assert analysis.rank_order == (4, 2, 3, 1)
-    assert analysis.per_node[4].rank_pos == 0
+    assert analysis.rank_pos[4] == 0
 
     bad = build_dag(1, 8, {1: 4, 2: 5}, [(1, 2)])
     analysis = analyze_dag(bad)

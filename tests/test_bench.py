@@ -164,7 +164,7 @@ def test_utilization_accounting():
         res = schedule_taskset(ts, 4)
         if res.success:
             demand = sum((ts.hyperperiod // d.period) * d.total_work for d in ts.dags)
-            assert sum(res.busy_per_core) == demand
+            assert sum(res.schedule.busy_per_core) == demand
 
 
 def test_report_round_trips(tmp_path):
@@ -193,12 +193,26 @@ def test_loaded_report_survives_spot_check(tmp_path):
     # a tampered row is caught
     import dataclasses
 
-    rows = list(loaded.rows)
-    victim = next(i for i, r in enumerate(rows) if not r.success)
-    rows[victim] = dataclasses.replace(rows[victim], success=True)
-    forged = dataclasses.replace(loaded, rows=tuple(rows))
-    with pytest.raises(Exception, match="report says"):
-        spot_check_report(forged, sample=len(rows))
+    def forge(pick, **changes):
+        rows = list(loaded.rows)
+        victim = next(i for i, r in enumerate(rows) if pick(r))
+        rows[victim] = dataclasses.replace(rows[victim], **changes)
+        return dataclasses.replace(loaded, rows=tuple(rows))
+
+    with pytest.raises(Exception, match="report says success=True, rerun says False"):
+        spot_check_report(forge(lambda r: not r.success, success=True), sample=len(loaded.rows))
+
+    # whole rows are compared: a forged field beside an unchanged success
+    def proposed_ok(r):
+        return r.algorithm == PROPOSED and r.success
+
+    victim = next(r for r in loaded.rows if proposed_ok(r))
+    used = victim.cores_used
+    with pytest.raises(Exception, match=f"report says cores_used={used + 1}, rerun says {used}"):
+        spot_check_report(forge(proposed_ok, cores_used=used + 1), sample=len(loaded.rows))
+    with pytest.raises(Exception, match="report says utilization="):
+        spot_check_report(forge(proposed_ok, utilization=victim.utilization / 2),
+                          sample=len(loaded.rows))
 
 
 def test_gantt_empty_map_axes_only():

@@ -173,6 +173,31 @@ def test_malformed_document_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def one_node_dags(tmp_path, *periods):
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps({"dags": [
+        {"id": i, "period": p, "nodes": [{"id": 1, "wcet": 1}]}
+        for i, p in enumerate(periods, start=1)
+    ]}))
+    return path
+
+
+def test_hyperperiod_overflow_is_usage_error(tmp_path, capsys):
+    path = one_node_dags(tmp_path, 2**40, 3**27)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"num_cores": 0, "entries": []}))
+    assert run_cli(["validate", "--in", str(path), "--schedule", str(sched)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: hyperperiod exceeds") and len(err.splitlines()) == 1
+
+
+def test_job_budget_is_usage_error(tmp_path, capsys):
+    path = one_node_dags(tmp_path, 2147483647, 2147483629)
+    assert run_cli(["schedule", "--in", str(path), "--cores", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dag 1: 2147483629, dag 2: 2147483647" in err
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert run_cli(["schedule", "--nope"]) == 2
     assert run_cli([]) == 2

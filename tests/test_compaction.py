@@ -10,6 +10,7 @@ sorted by start with no overlapping entries.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import pytest
@@ -52,6 +53,8 @@ def schedule_recorded(ts: TaskSet):
     with recorded_stages() as calls:
         result = scheduler.schedule_taskset(ts, 1 << 20)
     assert result.success
+    # no schedule fits in fewer cores than the total utilization
+    assert result.cores_used >= math.ceil(sum(d.utilization for d in ts.dags))
     return result, calls
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dagsched.model import (
+    JOB_BUDGET,
     ScheduleEntry,
     ScheduleMap,
     TaskSet,
@@ -259,6 +260,30 @@ def test_huge_periods_stay_exact():
     dag = build_dag(1, 2**62, {1: 5})
     ts = TaskSet.build([dag])
     assert ts.hyperperiod == 2**62
+
+
+def test_job_budget_names_each_dag():
+    # about 4.6e18 ticks: roughly 2e9 jobs per DAG, rejected at load time
+    text = doc([
+        {"id": 1, "period": 2147483647, "nodes": [{"id": 1, "wcet": 1}]},
+        {"id": 2, "period": 2147483629, "nodes": [{"id": 1, "wcet": 1}, {"id": 2, "wcet": 1}]},
+    ])
+    with pytest.raises(TaskSetError, match=r"over the budget of 1000000 "
+                       r"\(dag 1: 2147483629, dag 2: 4294967294\)"):
+        load_taskset(text)
+
+
+def test_job_budget_is_inclusive():
+    # a period-1 DAG beside one of period p expands to p + 1 jobs
+    def two_dags(p):
+        return doc([
+            {"id": 1, "period": 1, "nodes": [{"id": 1, "wcet": 1}]},
+            {"id": 2, "period": p, "nodes": [{"id": 1, "wcet": 1}]},
+        ])
+
+    assert load_taskset(two_dags(JOB_BUDGET - 1)).hyperperiod == JOB_BUDGET - 1
+    with pytest.raises(TaskSetError, match="budget"):
+        load_taskset(two_dags(JOB_BUDGET))
 
 
 def test_validator_catches_targeted_corruptions():

@@ -43,7 +43,7 @@ DIAMOND_COMPACT = [[(1, 1, 0, 0, 1), (1, 3, 0, 1, 3), (1, 2, 0, 4, 7), (1, 4, 0,
 
 
 def test_dynamic_lft_examples(diamond):
-    lft = {nid: na.lft for nid, na in analyze_dag(diamond).per_node.items()}
+    lft = analyze_dag(diamond).lft
     assert dynamic_lft(diamond, lft, 4, {}) == 8  # exit node: its own latest finish
     assert dynamic_lft(diamond, lft, 2, {4: 8}) == 7  # child pinned at [7,8)
     assert dynamic_lft(diamond, lft, 1, {2: 7, 3: 7}) == 4  # min(7-3, 7-2)
