@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .model import ScheduleEntry, ScheduleMap, TaskSet
+from .model import JOB_BUDGET, ScheduleEntry, ScheduleMap, TaskSet
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ def gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
     full executed schedule.  success is True iff every instance met its
     absolute deadline (job+1 periods after time 0).
     """
-    if m < 1:
-        raise ValueError(f"core count must be >= 1, got {m}")
+    if not 1 <= m <= JOB_BUDGET:
+        raise ValueError(f"core count must be in 1..{JOB_BUDGET}, got {m}")
 
     releases: list[tuple[int, int, int]] = []  # (time, dag_id, job)
     for dag in ts.dags:

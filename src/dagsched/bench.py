@@ -18,7 +18,15 @@ import random
 from dataclasses import dataclass, fields
 
 from .baseline import gedf_np_simulate
-from .model import DagSpec, ScheduleMap, TaskSet, build_dag, validate_schedule
+from .model import (
+    JOB_BUDGET,
+    DagSpec,
+    ScheduleMap,
+    TaskSet,
+    TaskSetError,
+    build_dag,
+    validate_schedule,
+)
 from .scheduler import DAG_INFEASIBLE, schedule_taskset
 
 MAX_DRAWS = 1000  # attempts per DAG before the generator gives up
@@ -268,8 +276,10 @@ def run_experiment(cfg: GenConfig, core_counts: list[int]) -> ExperimentReport:
     aggregated from the rows, in collection order.
     """
     ms = tuple(int(m) for m in core_counts)
-    if not ms or any(m < 1 for m in ms):
-        raise ValueError(f"core_counts must list positive core counts, got {core_counts}")
+    if not ms or any(not 1 <= m <= JOB_BUDGET for m in ms):
+        raise ValueError(
+            f"core_counts must list core counts in 1..{JOB_BUDGET}, got {core_counts}"
+        )
     rows: list[Row] = []
     regenerated = 0
     for c in range(cfg.collections):
@@ -413,7 +423,17 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
 
     Boxes are colored by DAG and labelled dag.node; dashed gridlines mark
     every DAG's period multiples.  Output is deterministic for a given map.
+    Entries may overlap or run late, but each must be a job instance of ts:
+    the first that is not raises TaskSetError, so a schedule drawn against
+    the wrong task set is refused.
     """
+    jobs = {(d.dag_id, n.node_id): ts.hyperperiod // d.period for d in ts.dags for n in d.nodes}
+    for e in mp.entries():
+        if not 0 <= e.job < jobs.get((e.dag_id, e.node_id), 0):
+            raise TaskSetError(
+                f"dag {e.dag_id} node {e.node_id} job {e.job} on core {e.core}: "
+                f"no such job instance in the task set"
+            )
     horizon = max(ts.hyperperiod, 1)
     px = max(4, min(48, 960 // horizon))
     width = _MARGIN_LEFT + horizon * px + _MARGIN_RIGHT

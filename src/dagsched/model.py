@@ -17,6 +17,8 @@ from typing import Iterable, Mapping
 TICK_MAX = 2**64 - 1
 # Job instances per hyperperiod a task set may expand to: extension, the
 # validator and the GEDF-NP simulator each materialise every one of them.
+# It also bounds a core count, since no schedule needs more cores than jobs
+# and a schedule map or a simulation allocates one lane per core.
 JOB_BUDGET = 10**6
 
 # Violation kinds reported by validate_schedule.
@@ -27,10 +29,6 @@ RELEASE = "release"
 DURATION = "duration"
 MISSING_JOB = "missing_job"
 UNKNOWN_NODE = "unknown_node"
-
-VIOLATION_KINDS = frozenset(
-    {OVERLAP, PRECEDENCE, DEADLINE, RELEASE, DURATION, MISSING_JOB, UNKNOWN_NODE}
-)
 
 
 class TaskSetError(ValueError):
@@ -479,8 +477,8 @@ def load_schedule(data: bytes | str) -> ScheduleMap:
     if not isinstance(doc, dict):
         raise TaskSetError("schedule document must be an object")
     num_cores = _as_int(doc.get("num_cores"), "num_cores")
-    if num_cores < 0:
-        raise TaskSetError(f"num_cores must be >= 0, got {num_cores}")
+    if not 0 <= num_cores <= JOB_BUDGET:
+        raise TaskSetError(f"num_cores must be in 0..{JOB_BUDGET}, got {num_cores}")
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise TaskSetError('schedule document must carry an "entries" list')

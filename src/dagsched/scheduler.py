@@ -159,10 +159,9 @@ class _CompactContext:
     Built once per task set and shared by every compact call on it.
     """
 
-    __slots__ = ("wcet", "parents", "children", "prior", "period", "work", "min_wcet")
+    __slots__ = ("parents", "children", "prior", "period", "work", "min_wcet")
 
     def __init__(self, ts: TaskSet):
-        self.wcet: dict[tuple[int, int], int] = {}
         self.parents: dict[tuple[int, int], tuple[int, ...]] = {}
         self.children: dict[tuple[int, int], tuple[int, ...]] = {}
         self.prior: dict[tuple[int, int], int] = {}
@@ -174,11 +173,37 @@ class _CompactContext:
             pp = prior_plus(dag)
             for node in dag.nodes:
                 key = (dag.dag_id, node.node_id)
-                self.wcet[key] = node.wcet
                 self.parents[key] = node.parents
                 self.children[key] = node.children
                 self.prior[key] = pp[node.node_id]
-        self.min_wcet = min(self.wcet.values(), default=1)
+        self.min_wcet = min((n.wcet for d in ts.dags for n in d.nodes), default=1)
+
+
+class _Linked(Placement):
+    """A working copy of a placement, linked to the rest of its job.
+
+    ups and downs are the same job's parent and child entries, so the
+    earliest legal start and the latest legal finish are read off the
+    current placements directly.  release and deadline bound the job's
+    period window; rank is the effective prior-plus load (the node's
+    prior-plus plus job times the DAG's total work).
+    """
+
+    __slots__ = ("ups", "downs", "release", "deadline", "rank")
+
+    def earliest(self) -> int:
+        d = self.release
+        for q in self.ups:
+            if q.finish > d:
+                d = q.finish
+        return d
+
+    def latest(self) -> int:
+        f = self.deadline
+        for c in self.downs:
+            if c.start < f:
+                f = c.start
+        return f
 
 
 class _Compactor:
@@ -187,67 +212,40 @@ class _Compactor:
     Invariant: every lane is sorted by start and no two of its entries
     overlap.  So the hole before an entry starts at its predecessor's
     finish, and a lane's idle tail starts at its last entry's finish.
+    Every entry is linked to its job's parents and children (see _Linked),
+    so a move needs no bookkeeping beyond the lanes themselves.
     Alongside each lane, widths/movers hold the same entries sorted by
-    wcet, so a fill only visits the movers narrow enough for its hole;
+    width, so a fill only visits the movers narrow enough for its hole;
     they change only when a fill moves an entry to another lane.
     """
 
-    def __init__(self, lanes: list[list[Placement]], ctx: _CompactContext, horizon: int):
+    def __init__(self, lanes: list[list[_Linked]], ctx: _CompactContext, horizon: int):
         self.lanes = lanes
-        self.ctx = ctx
         self.horizon = horizon
-        self.pos: dict[tuple[int, int, int], Placement] = {}
+        self.min_wcet = ctx.min_wcet
+        entry = {(p.dag_id, p.node_id, p.job): p for lane in lanes for p in lane}
+        for (dag_id, node_id, job), p in entry.items():
+            period = ctx.period[dag_id]
+            p.release = job * period
+            p.deadline = p.release + period
+            p.rank = ctx.prior[(dag_id, node_id)] + job * ctx.work[dag_id]
+            p.ups = [entry[(dag_id, q, job)] for q in ctx.parents[(dag_id, node_id)]]
+            p.downs = [entry[(dag_id, c, job)] for c in ctx.children[(dag_id, node_id)]]
         self.widths: list[list[int]] = []
-        self.movers: list[list[Placement]] = []
-        wcet = ctx.wcet
+        self.movers: list[list[_Linked]] = []
         for lane in lanes:
-            by_width = sorted((wcet[(p.dag_id, p.node_id)], i) for i, p in enumerate(lane))
+            by_width = sorted((p.finish - p.start, i) for i, p in enumerate(lane))
             self.widths.append([w for w, _ in by_width])
             self.movers.append([lane[i] for _, i in by_width])
-            for p in lane:
-                self.pos[(p.dag_id, p.node_id, p.job)] = p
-        self.dest_cache: dict[tuple[int, int, int], int] = {}
-        self.gate_cache: dict[tuple[int, int, int], int | None] = {}
 
-    def dest_of(self, p: Placement) -> int:
-        # Earliest legal start: release time for entry nodes, otherwise the
-        # latest finish among the (always placed) parents of the same job.
-        key = (p.dag_id, p.node_id, p.job)
-        got = self.dest_cache.get(key)
-        if got is None:
-            parents = self.ctx.parents[(p.dag_id, p.node_id)]
-            if not parents:
-                got = p.job * self.ctx.period[p.dag_id]
-            else:
-                got = max(self.pos[(p.dag_id, q, p.job)].finish for q in parents)
-            self.dest_cache[key] = got
-        return got
-
-    def gate_of(self, p: Placement) -> int | None:
-        # Latest allowed finish imposed by the same job's children, if any.
-        key = (p.dag_id, p.node_id, p.job)
-        if key in self.gate_cache:
-            return self.gate_cache[key]
-        children = self.ctx.children[(p.dag_id, p.node_id)]
-        got = min((self.pos[(p.dag_id, c, p.job)].start for c in children), default=None)
-        self.gate_cache[key] = got
-        return got
-
-    def _moved(self, p: Placement) -> None:
-        for c in self.ctx.children[(p.dag_id, p.node_id)]:
-            self.dest_cache.pop((p.dag_id, c, p.job), None)
-        for q in self.ctx.parents[(p.dag_id, p.node_id)]:
-            self.gate_cache.pop((p.dag_id, q, p.job), None)
-
-    def _shift(self, temp: Placement, gap_start: int) -> bool:
-        target = self.dest_of(temp)
+    def _shift(self, temp: _Linked, gap_start: int) -> bool:
+        target = temp.earliest()
         if target < gap_start:
             target = gap_start
         if target >= temp.start:
             return False
         width = temp.finish - temp.start
         temp.start, temp.finish = target, target + width
-        self._moved(temp)
         return True
 
     def _fill(self, ci: int, at: int, gap_start: int, gap_end: int) -> bool:
@@ -255,9 +253,8 @@ class _Compactor:
 
         The hole is [gap_start, gap_end) just before index at of lane ci.
         """
-        ctx, dest_cache = self.ctx, self.dest_cache
         room = gap_end - gap_start
-        best: Placement | None = None
+        best: _Linked | None = None
         best_core = -1
         best_key: tuple | None = None
         best_start = 0
@@ -266,26 +263,12 @@ class _Compactor:
             for k in range(bisect_right(widths, room)):
                 cand = movers[k]
                 w = widths[k]
-                d = dest_cache.get((cand.dag_id, cand.node_id, cand.job))
-                if d is None:
-                    d = self.dest_of(cand)
+                d = cand.earliest()
                 chosen = d if d > gap_start else gap_start
                 fin = chosen + w
-                if fin > gap_end:
+                if fin > gap_end or fin > cand.latest():
                     continue
-                gate = self.gate_of(cand)
-                if gate is not None and fin > gate:
-                    continue
-                if fin > (cand.job + 1) * ctx.period[cand.dag_id]:
-                    continue
-                key = (
-                    ctx.prior[(cand.dag_id, cand.node_id)] + cand.job * ctx.work[cand.dag_id],
-                    d + w,
-                    chosen - gap_start,
-                    cand.dag_id,
-                    cand.node_id,
-                    cand.job,
-                )
+                key = (cand.rank, d + w, chosen - gap_start, cand.dag_id, cand.node_id, cand.job)
                 if best_key is None or key < best_key:
                     best, best_core, best_key, best_start = cand, cj, key, chosen
         if best is None:
@@ -298,10 +281,8 @@ class _Compactor:
         k = bisect_right(self.widths[ci], w)
         self.widths[ci].insert(k, w)
         self.movers[ci].insert(k, best)
-        width = best.finish - best.start
-        best.start, best.finish = best_start, best_start + width
+        best.start, best.finish = best_start, best_start + w
         self.lanes[ci].insert(at, best)
-        self._moved(best)
         return True
 
     def sweep(self, shift_any: bool) -> bool:
@@ -315,7 +296,7 @@ class _Compactor:
         after a non-empty core's last entry counts as one more fillable
         hole, bounded by the schedule horizon.
         """
-        lanes, min_wcet = self.lanes, self.ctx.min_wcet
+        lanes, min_wcet = self.lanes, self.min_wcet
         acted = False
         for ci, lane in enumerate(lanes):
             gap_start = 0
@@ -338,8 +319,6 @@ class _Compactor:
         return acted
 
     def run(self, shift_any: bool) -> None:
-        # A loosened fixpoint is automatically stable for the restricted
-        # sweep as well (its actions are a subset of the loosened ones).
         while self.sweep(shift_any=shift_any):
             pass
 
@@ -358,23 +337,19 @@ class _Compactor:
         order.sort(key=lambda t: (-t[0], -t[1], -t[2]))
         head: list[int | None] = [None] * len(self.lanes)
         for _, ci, _, p in order:
-            limit = (p.job + 1) * self.ctx.period[p.dag_id]
-            for c in self.ctx.children[(p.dag_id, p.node_id)]:
-                limit = min(limit, self.pos[(p.dag_id, c, p.job)].start)
-            if head[ci] is not None:
-                limit = min(limit, head[ci])
+            limit = p.latest()
+            if head[ci] is not None and head[ci] < limit:
+                limit = head[ci]
             width = p.finish - p.start
             p.start, p.finish = limit - width, limit
             head[ci] = limit - width
         for lane in self.lanes:
             lane.sort(key=lambda p: p.start)
-        self.dest_cache.clear()
-        self.gate_cache.clear()
 
 
-def _copy_lanes(cores: Sequence[Sequence[Placement]]) -> list[list[Placement]]:
+def _copy_lanes(cores: Sequence[Sequence[Placement]]) -> list[list[_Linked]]:
     return [
-        [Placement(p.dag_id, p.node_id, p.job, p.start, p.finish) for p in lane]
+        [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish) for p in lane]
         for lane in cores
     ]
 
@@ -398,17 +373,19 @@ def compact(
     its own period window.
 
     Sweeps repeat until none acts.  The retry ladder runs baseline sweeps,
-    then a loosened sweep, then one trial of up to three restretch cycles.
-    The baseline sweeps restrict the self-shift to each core's free prefix.
-    The loosened sweep also slides interior entries left, loosening the
-    holes for more migration.  A restretch cycle pushes every entry as late
-    as it may go and re-runs the loosened sweeps, rebuilding walkable holes
-    at the front of left-welded layouts; the core count is checked after
-    each cycle.  A trial is kept only when it strictly reduces the core
-    count, and then the ladder starts again from the loosened sweep, so the
-    result is stable: compacting a compacted schedule is a no-op.  Emptied
-    cores are dropped and the rest renumbered.  The input is never mutated;
-    busy time and the entry multiset are preserved.
+    then one loosened trial, then restretch trials.  The baseline sweeps
+    restrict the self-shift to each core's free prefix.  The loosened
+    sweeps also slide interior entries left, loosening the holes for more
+    migration.  A restretch trial runs up to three cycles; a cycle pushes
+    every entry as late as it may go and re-runs the loosened sweeps,
+    rebuilding walkable holes at the front of left-welded layouts, and the
+    core count is checked after each cycle.  A trial is kept only when it
+    strictly reduces the core count, and restretch trials repeat until one
+    does not.  Every kept trial ends in loosened sweeps, so one loosened
+    trial is enough, and the result is stable: compacting a compacted
+    schedule is a no-op.  Emptied cores are dropped and the rest
+    renumbered.  The input is never mutated; busy time and the entry
+    multiset are preserved.
 
     Every input lane must be sorted by start with no overlapping entries,
     as primary_schedule and extend produce them.  ctx holds the lookups
@@ -422,22 +399,23 @@ def compact(
         ctx = _CompactContext(ts)
     horizon = ts.hyperperiod
 
-    def used(ls: list[list[Placement]]) -> int:
+    def used(ls: list[list[_Linked]]) -> int:
         return sum(1 for lane in ls if lane)
 
     _Compactor(lanes, ctx, horizon).run(shift_any=False)
+    trial = _copy_lanes(lanes)
+    _Compactor(trial, ctx, horizon).run(shift_any=True)
+    if used(trial) < used(lanes):
+        lanes = trial
     while True:
         target = used(lanes)
         trial = _copy_lanes(lanes)
-        _Compactor(trial, ctx, horizon).run(shift_any=True)
-        if used(trial) >= target:
-            trial = _copy_lanes(lanes)
-            worker = _Compactor(trial, ctx, horizon)
-            for _ in range(_RESTRETCH_CYCLES):
-                worker.restretch()
-                worker.run(shift_any=True)
-                if used(trial) < target:
-                    break
+        worker = _Compactor(trial, ctx, horizon)
+        for _ in range(_RESTRETCH_CYCLES):
+            worker.restretch()
+            worker.run(shift_any=True)
+            if used(trial) < target:
+                break
         if used(trial) >= target:
             return [lane for lane in lanes if lane]
         lanes = trial

@@ -7,6 +7,9 @@ the production implementations they check.
 
 from __future__ import annotations
 
+import tracemalloc
+from contextlib import contextmanager
+
 from dagsched.model import DagSpec, ScheduleMap, TaskSet, build_dag
 
 
@@ -104,6 +107,18 @@ def brute_critical_path(dag: DagSpec) -> tuple[list[int], int]:
     best = max(sum(dag.node(n).wcet for n in p) for p in paths)
     winners = [p for p in paths if sum(dag.node(n).wcet for n in p) == best]
     return min(winners), best
+
+
+@contextmanager
+def allocation_limit(limit: int = 1 << 20):
+    """Fail unless the block's peak allocation stays within limit bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, f"peak allocation {peak} bytes, limit {limit}"
 
 
 # --- schedule/trace checkers --------------------------------------------------

@@ -6,9 +6,16 @@ import pytest
 
 from dagsched.baseline import gedf_np_simulate
 from dagsched.bench import GenConfig, generate_taskset
-from dagsched.model import TaskSet, build_dag, dumps_schedule, validate_schedule
+from dagsched.model import (
+    JOB_BUDGET,
+    TaskSet,
+    build_dag,
+    dumps_schedule,
+    validate_schedule,
+)
 
 from helpers import (
+    allocation_limit,
     chain_dag,
     check_edf_dispatch,
     check_work_conserving,
@@ -77,6 +84,9 @@ def test_rejects_bad_core_count():
     ts = TaskSet.build([single_node_dag()])
     with pytest.raises(ValueError):
         gedf_np_simulate(ts, 0)
+    # one lane per core is allocated, so the bound is checked first
+    with allocation_limit(), pytest.raises(ValueError, match=f"in 1..{JOB_BUDGET}"):
+        gedf_np_simulate(ts, JOB_BUDGET + 1)
 
 
 def test_determinism():

@@ -18,10 +18,18 @@ from dagsched.bench import (
     render_gantt,
     run_experiment,
 )
-from dagsched.model import TaskSet, dumps_taskset, validate_schedule
+from dagsched.model import (
+    JOB_BUDGET,
+    ScheduleEntry,
+    ScheduleMap,
+    TaskSet,
+    TaskSetError,
+    dumps_taskset,
+    validate_schedule,
+)
 from dagsched.scheduler import schedule_taskset
 
-from helpers import diamond_dag
+from helpers import allocation_limit, diamond_dag
 
 TINY = GenConfig(
     collections=4,
@@ -109,6 +117,11 @@ def test_trivial_experiment_rates_are_one():
     assert s.proposed_success_rate == 1.0
     assert s.baseline_success_rate == 1.0
     assert len(report.rows) == 2  # one collection, one m, two algorithms
+
+
+def test_experiment_core_count_is_bounded_before_any_collection_runs():
+    with allocation_limit(), pytest.raises(ValueError, match=f"in 1..{JOB_BUDGET}"):
+        run_experiment(TINY, [4, JOB_BUDGET + 1])
 
 
 def test_experiment_rows_match_direct_calls():
@@ -216,8 +229,6 @@ def test_loaded_report_survives_spot_check(tmp_path):
 
 
 def test_gantt_empty_map_axes_only():
-    from dagsched.model import ScheduleMap
-
     ts = TaskSet.build([diamond_dag()])
     svg = render_gantt(ScheduleMap.from_entries(0, []), ts)
     assert svg.startswith("<svg")
@@ -240,3 +251,23 @@ def test_gantt_two_lanes_no_overlap():
     svg = render_gantt(res.schedule, ts)
     assert "core 0" in svg and f"core {res.cores_used - 1}" in svg
     assert svg.count("<title>") == 8
+
+
+def test_gantt_draws_overlapping_and_late_entries():
+    # diamond: nodes 1 (w1), 2 (w3), 3 (w2), 4 (w1), period 8; node 4 runs late
+    ts = TaskSet.build([diamond_dag()])
+    entries = [ScheduleEntry(1, 1, 0, 0, 0, 1), ScheduleEntry(1, 2, 0, 0, 0, 3),
+               ScheduleEntry(1, 3, 0, 0, 2, 4), ScheduleEntry(1, 4, 0, 0, 8, 9)]
+    mp = ScheduleMap.from_entries(1, entries)
+    assert not validate_schedule(mp, ts).ok
+    assert render_gantt(mp, ts).count("<title>") == 4
+
+
+@pytest.mark.parametrize("dag_id,node_id,job", [(2, 1, 0), (1, 5, 0), (1, 1, 1), (1, 1, -1)])
+def test_gantt_refuses_an_entry_of_another_task_set(dag_id, node_id, job):
+    ts = TaskSet.build([diamond_dag()])
+    entries = list(schedule_taskset(ts, 1).schedule.entries())
+    entries.append(ScheduleEntry(dag_id, node_id, job, 1, 0, 1))
+    with pytest.raises(TaskSetError, match=f"^dag {dag_id} node {node_id} job {job} on core 1: "
+                                           "no such job instance"):
+        render_gantt(ScheduleMap.from_entries(2, entries), ts)

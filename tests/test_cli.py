@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from dagsched import bench
 from dagsched.cli import run_cli
 from dagsched.model import (
+    JOB_BUDGET,
     TaskSet,
     ValidationReport,
     Violation,
@@ -15,7 +18,7 @@ from dagsched.model import (
 )
 from dagsched.scheduler import schedule_taskset
 
-from helpers import diamond_dag, single_node_dag
+from helpers import allocation_limit, diamond_dag, single_node_dag
 
 
 def write_diamond(tmp_path):
@@ -159,6 +162,41 @@ def test_render_writes_svg(tmp_path):
     assert run_cli(["render", "--in", str(ts_path), "--schedule", str(sched),
                     "--out", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+def test_render_of_a_foreign_entry_is_usage_error(tmp_path, capsys):
+    # a one-DAG set cannot own an entry of dag 9
+    ts_path, ts = write_diamond(tmp_path)
+    doc = json.loads(dumps_schedule(schedule_taskset(ts, 2).schedule))
+    doc["entries"].append({"dag": 9, "node": 1, "job": 0, "core": 0, "start": 7, "finish": 8})
+    sched = tmp_path / "s.json"
+    sched.write_text(json.dumps(doc))
+    out = tmp_path / "g.svg"
+    assert run_cli(["render", "--in", str(ts_path), "--schedule", str(sched),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dag 9 node 1 job 0 on core 0: no such job instance in the task set\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench", "validate", "render"])
+def test_core_count_over_the_bound_is_usage_error(tmp_path, capsys, command):
+    ts_path, _ = write_diamond(tmp_path)
+    sched = tmp_path / "s.json"
+    sched.write_text(json.dumps({"num_cores": JOB_BUDGET + 1, "entries": []}))
+    argv = {
+        "simulate": ["simulate", "--in", str(ts_path), "--cores", str(JOB_BUDGET + 1)],
+        "bench": ["bench", "--seed", "0", "--cores", f"4,{JOB_BUDGET + 1}",
+                  "--out", str(tmp_path / "report")],
+        "validate": ["validate", "--in", str(ts_path), "--schedule", str(sched)],
+        "render": ["render", "--in", str(ts_path), "--schedule", str(sched)],
+    }[command]
+    with allocation_limit():
+        assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"{JOB_BUDGET}, got " in err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -5,7 +5,9 @@ stack_extended_schedules, then one global pass) is recorded and replayed
 through reference_compact, which must give identical lanes.  The same
 recording checks the lane invariant compaction relies on: after per-DAG
 compaction, after extension and after global compaction every lane is
-sorted by start with no overlapping entries.
+sorted by start with no overlapping entries.  Inside compact, every retry
+rung (each sweep-to-fixpoint and each restretch) must leave a legal
+schedule, checked against the task set rather than compaction's own links.
 """
 
 from __future__ import annotations
@@ -71,6 +73,51 @@ def assert_lanes_sorted_disjoint(lanes) -> None:
             assert a.finish <= b.start, (a, b)
 
 
+def assert_legal_lanes(lanes, ts: TaskSet) -> None:
+    assert_lanes_sorted_disjoint(lanes)
+    at = {(p.dag_id, p.node_id, p.job): p for lane in lanes for p in lane}
+    for (dag_id, node_id, job), p in at.items():
+        dag = ts.dag(dag_id)
+        node = dag.node(node_id)
+        assert p.finish - p.start == node.wcet, p
+        assert job * dag.period <= p.start and p.finish <= (job + 1) * dag.period, p
+        for c in node.children:
+            assert p.finish <= at[(dag_id, c, job)].start, (p, at[(dag_id, c, job)])
+
+
+@contextmanager
+def checked_rungs(ts: TaskSet):
+    """Check the lanes after every _Compactor.run and restretch; yields the call names."""
+    calls: list[str] = []
+    real_run, real_restretch = scheduler._Compactor.run, scheduler._Compactor.restretch
+
+    def run(self, shift_any):
+        real_run(self, shift_any)
+        assert_legal_lanes(self.lanes, ts)
+        calls.append("run")
+
+    def restretch(self):
+        real_restretch(self)
+        assert_legal_lanes(self.lanes, ts)
+        calls.append("restretch")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler._Compactor, "run", run)
+        mp.setattr(scheduler._Compactor, "restretch", restretch)
+        yield calls
+
+
+def schedule_checking_rungs(ts: TaskSet) -> None:
+    with checked_rungs(ts) as calls:
+        result = scheduler.schedule_taskset(ts, 1 << 20)
+    assert result.success
+    # every compact call runs the baseline and the loosened sweeps once and
+    # at least one restretch, and loosened sweeps follow each restretch
+    compacts = sum(1 for d in ts.dags if d.nodes) + 1
+    assert calls.count("restretch") >= compacts
+    assert calls.count("run") == compacts * 2 + calls.count("restretch")
+
+
 @st.composite
 def small_tasksets(draw):
     dags = []
@@ -110,6 +157,19 @@ def test_every_stage_keeps_lanes_sorted_and_valid(ts):
     for _, _, out in calls:
         assert_lanes_sorted_disjoint(out)
     assert validate_schedule(result.schedule, ts).ok
+
+
+def test_every_retry_rung_is_legal_on_default_collections():
+    cfg = GenConfig()
+    for c in range(DEFAULT_COLLECTIONS):
+        ts, _ = generate_taskset(cfg, c)
+        schedule_checking_rungs(ts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_tasksets())
+def test_every_retry_rung_is_legal_on_small_tasksets(ts):
+    schedule_checking_rungs(ts)
 
 
 @pytest.mark.parametrize("seed,collection,cores", [(1, 173, 5), (2, 63, 5), (2, 129, 6)])

@@ -21,7 +21,7 @@ from dagsched.model import (
     validate_schedule,
 )
 
-from helpers import chain_dag, diamond_dag, single_node_dag
+from helpers import allocation_limit, chain_dag, diamond_dag, single_node_dag
 
 
 def doc(dags):
@@ -284,6 +284,15 @@ def test_job_budget_is_inclusive():
     assert load_taskset(two_dags(JOB_BUDGET - 1)).hyperperiod == JOB_BUDGET - 1
     with pytest.raises(TaskSetError, match="budget"):
         load_taskset(two_dags(JOB_BUDGET))
+
+
+def test_schedule_core_count_is_bounded_before_allocating():
+    # a schedule map allocates one lane per core, so the count is checked first
+    text = json.dumps({"num_cores": JOB_BUDGET + 1, "entries": []})
+    with allocation_limit(), pytest.raises(
+        TaskSetError, match=f"num_cores must be in 0..{JOB_BUDGET}, got {JOB_BUDGET + 1}"
+    ):
+        load_schedule(text)
 
 
 def test_validator_catches_targeted_corruptions():
