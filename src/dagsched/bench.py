@@ -107,7 +107,12 @@ class GenConfig:
             kwargs["edge_prob"] = float(value)
         for name in ("nodes_per_dag", "wcet_range", "period_menu"):
             if name in doc:
-                kwargs[name] = tuple(_config_int(x, name) for x in doc[name])
+                value = doc[name]
+                pair = name != "period_menu"  # the two ranges are [lo, hi]
+                if not isinstance(value, list) or (pair and len(value) != 2):
+                    shape = "a list of two integers" if pair else "a list"
+                    raise ValueError(f"config field {name}: must be {shape}, got {value!r}")
+                kwargs[name] = tuple(_config_int(x, name) for x in value)
         return cls(**kwargs)
 
 

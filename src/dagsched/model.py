@@ -417,8 +417,11 @@ def load_taskset(data: bytes | str) -> TaskSet:
             if nid in wcets:
                 raise TaskSetError(f"dag {dag_id}: duplicate node id {nid}")
             wcets[nid] = n.get("wcet")
+        edge_docs = d.get("edges", [])
+        if not isinstance(edge_docs, list):
+            raise TaskSetError(f"dag {dag_id}: edges must be a list")
         edges = []
-        for e in d.get("edges", []):
+        for e in edge_docs:
             if not (isinstance(e, list) and len(e) == 2):
                 raise TaskSetError(f"dag {dag_id}: edges must be [src, dst] pairs")
             edges.append((_as_int(e[0], f"dag {dag_id}: edge src"), _as_int(e[1], f"dag {dag_id}: edge dst")))

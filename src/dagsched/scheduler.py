@@ -153,32 +153,6 @@ def primary_schedule(
     return lanes
 
 
-class _CompactContext:
-    """Immutable per-task-set lookups used by the compaction sweeps.
-
-    Built once per task set and shared by every compact call on it.
-    """
-
-    __slots__ = ("parents", "children", "prior", "period", "work", "min_wcet")
-
-    def __init__(self, ts: TaskSet):
-        self.parents: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.children: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.prior: dict[tuple[int, int], int] = {}
-        self.period: dict[int, int] = {}
-        self.work: dict[int, int] = {}
-        for dag in ts.dags:
-            self.period[dag.dag_id] = dag.period
-            self.work[dag.dag_id] = dag.total_work
-            pp = prior_plus(dag)
-            for node in dag.nodes:
-                key = (dag.dag_id, node.node_id)
-                self.parents[key] = node.parents
-                self.children[key] = node.children
-                self.prior[key] = pp[node.node_id]
-        self.min_wcet = min((n.wcet for d in ts.dags for n in d.nodes), default=1)
-
-
 class _Linked(Placement):
     """A working copy of a placement, linked to the rest of its job.
 
@@ -209,6 +183,10 @@ class _Linked(Placement):
 class _Compactor:
     """Sweep machinery over one working copy of the core lanes.
 
+    One compactor serves a whole compact call: it copies the input lanes
+    into linked entries once, and every retry trial runs on it in place,
+    rolled back with save/restore when it is rejected.
+
     Invariant: every lane is sorted by start and no two of its entries
     overlap.  So the hole before an entry starts at its predecessor's
     finish, and a lane's idle tail starts at its last entry's finish.
@@ -216,27 +194,53 @@ class _Compactor:
     so a move needs no bookkeeping beyond the lanes themselves.
     Alongside each lane, widths/movers hold the same entries sorted by
     width, so a fill only visits the movers narrow enough for its hole;
-    they change only when a fill moves an entry to another lane.
+    they change only when a fill moves an entry to another lane, and
+    restore rebuilds them.
     """
 
-    def __init__(self, lanes: list[list[_Linked]], ctx: _CompactContext, horizon: int):
-        self.lanes = lanes
-        self.horizon = horizon
-        self.min_wcet = ctx.min_wcet
-        entry = {(p.dag_id, p.node_id, p.job): p for lane in lanes for p in lane}
+    def __init__(self, cores: Sequence[Sequence[Placement]], ts: TaskSet):
+        self.horizon = ts.hyperperiod
+        self.min_wcet = min((n.wcet for d in ts.dags for n in d.nodes), default=1)
+        self.lanes = [
+            [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish) for p in lane]
+            for lane in cores
+        ]
+        entry = {(p.dag_id, p.node_id, p.job): p for lane in self.lanes for p in lane}
+        prior: dict[int, dict[int, int]] = {}
         for (dag_id, node_id, job), p in entry.items():
-            period = ctx.period[dag_id]
-            p.release = job * period
-            p.deadline = p.release + period
-            p.rank = ctx.prior[(dag_id, node_id)] + job * ctx.work[dag_id]
-            p.ups = [entry[(dag_id, q, job)] for q in ctx.parents[(dag_id, node_id)]]
-            p.downs = [entry[(dag_id, c, job)] for c in ctx.children[(dag_id, node_id)]]
+            dag = ts.dag(dag_id)
+            if dag_id not in prior:
+                prior[dag_id] = prior_plus(dag)
+            node = dag.node(node_id)
+            p.release = job * dag.period
+            p.deadline = p.release + dag.period
+            p.rank = prior[dag_id][node_id] + job * dag.total_work
+            p.ups = [entry[(dag_id, q, job)] for q in node.parents]
+            p.downs = [entry[(dag_id, c, job)] for c in node.children]
+        self._index()
+
+    def _index(self) -> None:
         self.widths: list[list[int]] = []
         self.movers: list[list[_Linked]] = []
-        for lane in lanes:
-            by_width = sorted((p.finish - p.start, i) for i, p in enumerate(lane))
-            self.widths.append([w for w, _ in by_width])
-            self.movers.append([lane[i] for _, i in by_width])
+        for lane in self.lanes:
+            movers = sorted(lane, key=lambda p: p.finish - p.start)
+            self.widths.append([p.finish - p.start for p in movers])
+            self.movers.append(movers)
+
+    def used(self) -> int:
+        return sum(1 for lane in self.lanes if lane)
+
+    def save(self) -> list[list[tuple[_Linked, int]]]:
+        """Each lane's (entry, start) pairs, for restore."""
+        return [[(p, p.start) for p in lane] for lane in self.lanes]
+
+    def restore(self, saved: list[list[tuple[_Linked, int]]]) -> None:
+        """Put every entry back at its saved lane and start."""
+        for lane in saved:
+            for p, start in lane:
+                p.start, p.finish = start, start + p.finish - p.start
+        self.lanes = [[p for p, _ in lane] for lane in saved]
+        self._index()
 
     def _shift(self, temp: _Linked, gap_start: int) -> bool:
         target = temp.earliest()
@@ -252,6 +256,10 @@ class _Compactor:
         """Migrate the preferred fitting entry from a higher core into the hole.
 
         The hole is [gap_start, gap_end) just before index at of lane ci.
+        The key ends in the mover's unique (dag, node, job), so it is a
+        strict total order: the choice never depends on the order in which
+        movers of equal width are visited, and restore may rebuild the
+        width index in any such order.
         """
         room = gap_end - gap_start
         best: _Linked | None = None
@@ -347,19 +355,7 @@ class _Compactor:
             lane.sort(key=lambda p: p.start)
 
 
-def _copy_lanes(cores: Sequence[Sequence[Placement]]) -> list[list[_Linked]]:
-    return [
-        [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish) for p in lane]
-        for lane in cores
-    ]
-
-
-def compact(
-    cores: Sequence[Sequence[Placement]],
-    ts: TaskSet,
-    *,
-    ctx: _CompactContext | None = None,
-) -> list[list[Placement]]:
+def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Placement]]:
     """Fill schedule gaps by migrating tasks toward earlier cores and times.
 
     Walks cores in ascending index.  For each entry, the gap is the hole
@@ -383,42 +379,31 @@ def compact(
     strictly reduces the core count, and restretch trials repeat until one
     does not.  Every kept trial ends in loosened sweeps, so one loosened
     trial is enough, and the result is stable: compacting a compacted
-    schedule is a no-op.  Emptied cores are dropped and the rest
-    renumbered.  The input is never mutated; busy time and the entry
-    multiset are preserved.
+    schedule is a no-op.  The whole ladder runs on one _Compactor: each
+    trial starts from a save of the layout and a rejected trial is
+    restored from it.  Emptied cores are dropped and the rest renumbered.
+    The input is never mutated; busy time and the entry multiset are
+    preserved.
 
     Every input lane must be sorted by start with no overlapping entries,
-    as primary_schedule and extend produce them.  ctx holds the lookups
-    for ts; callers that compact the same task set more than once build it
-    once and pass it in.
+    as primary_schedule and extend produce them.
     """
-    lanes = _copy_lanes(cores)
-    if not lanes:
-        return []
-    if ctx is None:
-        ctx = _CompactContext(ts)
-    horizon = ts.hyperperiod
-
-    def used(ls: list[list[_Linked]]) -> int:
-        return sum(1 for lane in ls if lane)
-
-    _Compactor(lanes, ctx, horizon).run(shift_any=False)
-    trial = _copy_lanes(lanes)
-    _Compactor(trial, ctx, horizon).run(shift_any=True)
-    if used(trial) < used(lanes):
-        lanes = trial
+    work = _Compactor(cores, ts)
+    work.run(shift_any=False)
+    saved, target = work.save(), work.used()
+    work.run(shift_any=True)
+    if work.used() >= target:
+        work.restore(saved)
     while True:
-        target = used(lanes)
-        trial = _copy_lanes(lanes)
-        worker = _Compactor(trial, ctx, horizon)
+        saved, target = work.save(), work.used()
         for _ in range(_RESTRETCH_CYCLES):
-            worker.restretch()
-            worker.run(shift_any=True)
-            if used(trial) < target:
+            work.restretch()
+            work.run(shift_any=True)
+            if work.used() < target:
                 break
-        if used(trial) >= target:
-            return [lane for lane in lanes if lane]
-        lanes = trial
+        if work.used() >= target:
+            work.restore(saved)
+            return [lane for lane in work.lanes if lane]
 
 
 def extend(
@@ -448,19 +433,14 @@ def extend(
     return out
 
 
-def stack_extended_schedules(
-    ts: TaskSet, trace: list[str] | None = None, *, ctx: _CompactContext | None = None
-) -> list[list[Placement]]:
+def stack_extended_schedules(ts: TaskSet, trace: list[str] | None = None) -> list[list[Placement]]:
     """Per-DAG pipeline up to (but not including) the final global compaction.
 
     DAGs are processed in descending utilization so the heaviest ones claim
     the lowest core indices; each is primary-scheduled, compacted within its
     own cores, extended over the hyperperiod, and its core block appended.
     Raises DagInfeasibleError as soon as any DAG cannot fit its deadline.
-    ctx is passed on to every compact call (see compact).
     """
-    if ctx is None:
-        ctx = _CompactContext(ts)
     order = sorted(ts.dags, key=lambda d: (-d.utilization, d.dag_id))
     stacked: list[list[Placement]] = []
     for dag in order:
@@ -468,7 +448,7 @@ def stack_extended_schedules(
             continue
         analysis = analyze_dag(dag)
         lanes = primary_schedule(dag, analysis=analysis, trace=trace)
-        lanes = compact(lanes, ts, ctx=ctx)
+        lanes = compact(lanes, ts)
         lanes = extend(lanes, dag, ts.hyperperiod)
         stacked.extend(lanes)
     return stacked
@@ -494,9 +474,8 @@ def schedule_taskset(ts: TaskSet, m: int, trace: list[str] | None = None) -> Sch
     if m < 1:
         raise ValueError(f"core count must be >= 1, got {m}")
     try:
-        ctx = _CompactContext(ts)
-        lanes = stack_extended_schedules(ts, trace=trace, ctx=ctx)
-        lanes = compact(lanes, ts, ctx=ctx)
+        lanes = stack_extended_schedules(ts, trace=trace)
+        lanes = compact(lanes, ts)
     except DagInfeasibleError as exc:
         return ScheduleResult(
             success=False,

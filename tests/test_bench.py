@@ -102,6 +102,22 @@ def test_config_rejects_non_integers(field, value):
         GenConfig.from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("nodes_per_dag", 5), ("nodes_per_dag", [5]), ("wcet_range", None),
+        ("wcet_range", [1, 2, 3]), ("period_menu", 5), ("period_menu", None),
+    ],
+)
+def test_config_rejects_malformed_lists(field, value):
+    # the two ranges take exactly two integers, the period menu any number
+    doc = TINY.to_doc()
+    doc[field] = value
+    match = "must be a list" if field == "period_menu" else "must be a list of two integers"
+    with pytest.raises(ValueError, match=f"config field {field}: {match}, got"):
+        GenConfig.from_doc(doc)
+
+
 def test_generation_gives_up_after_the_draw_budget():
     # every draw is a 5-node chain of wcet 10: critical path 50 > period 10
     cfg = GenConfig(edge_prob=1.0, nodes_per_dag=(5, 5), wcet_range=(10, 10), period_menu=(10,))

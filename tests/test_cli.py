@@ -211,6 +211,28 @@ def test_malformed_document_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_edges_that_are_not_a_list_are_usage_error(tmp_path, capsys):
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps({"dags": [
+        {"id": 1, "period": 5, "nodes": [{"id": 1, "wcet": 1}], "edges": 5}
+    ]}))
+    for command in (["analyze"], ["schedule", "--cores", "1"]):
+        assert run_cli([*command, "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: dag 1: edges must be a list\n"
+
+
+@pytest.mark.parametrize("config", [{"period_menu": 5}, {"nodes_per_dag": [5]}])
+def test_gen_config_with_a_malformed_list_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run_cli(["gen", "--config", str(cfg), "--seed", "0",
+                    "--out", str(tmp_path / "gen.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: config field {next(iter(config))}: ")
+
+
 def one_node_dags(tmp_path, *periods):
     path = tmp_path / "ts.json"
     path.write_text(json.dumps({"dags": [

@@ -6,8 +6,9 @@ through reference_compact, which must give identical lanes.  The same
 recording checks the lane invariant compaction relies on: after per-DAG
 compaction, after extension and after global compaction every lane is
 sorted by start with no overlapping entries.  Inside compact, every retry
-rung (each sweep-to-fixpoint and each restretch) must leave a legal
-schedule, checked against the task set rather than compaction's own links.
+rung (each sweep-to-fixpoint, each restretch and each rollback of a
+rejected trial) must leave a legal schedule, checked against the task set
+rather than compaction's own links, and one compactor serves the call.
 """
 
 from __future__ import annotations
@@ -87,9 +88,17 @@ def assert_legal_lanes(lanes, ts: TaskSet) -> None:
 
 @contextmanager
 def checked_rungs(ts: TaskSet):
-    """Check the lanes after every _Compactor.run and restretch; yields the call names."""
+    """Check the lanes after every _Compactor.run, restretch and restore.
+
+    Yields the names of those calls and of every _Compactor construction.
+    """
     calls: list[str] = []
-    real_run, real_restretch = scheduler._Compactor.run, scheduler._Compactor.restretch
+    real_init, real_run = scheduler._Compactor.__init__, scheduler._Compactor.run
+    real_restretch, real_restore = scheduler._Compactor.restretch, scheduler._Compactor.restore
+
+    def init(self, cores, ts):
+        real_init(self, cores, ts)
+        calls.append("init")
 
     def run(self, shift_any):
         real_run(self, shift_any)
@@ -101,9 +110,16 @@ def checked_rungs(ts: TaskSet):
         assert_legal_lanes(self.lanes, ts)
         calls.append("restretch")
 
+    def restore(self, saved):
+        real_restore(self, saved)
+        assert_legal_lanes(self.lanes, ts)
+        calls.append("restore")
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler._Compactor, "__init__", init)
         mp.setattr(scheduler._Compactor, "run", run)
         mp.setattr(scheduler._Compactor, "restretch", restretch)
+        mp.setattr(scheduler._Compactor, "restore", restore)
         yield calls
 
 
@@ -111,11 +127,14 @@ def schedule_checking_rungs(ts: TaskSet) -> None:
     with checked_rungs(ts) as calls:
         result = scheduler.schedule_taskset(ts, 1 << 20)
     assert result.success
-    # every compact call runs the baseline and the loosened sweeps once and
-    # at least one restretch, and loosened sweeps follow each restretch
+    # every compact call builds one compactor, runs the baseline and the
+    # loosened sweeps once and at least one restretch, loosened sweeps follow
+    # each restretch, and the last restretch trial is always rolled back
     compacts = sum(1 for d in ts.dags if d.nodes) + 1
+    assert calls.count("init") == compacts
     assert calls.count("restretch") >= compacts
     assert calls.count("run") == compacts * 2 + calls.count("restretch")
+    assert compacts <= calls.count("restore") <= compacts * 2
 
 
 @st.composite

@@ -90,6 +90,13 @@ def test_load_errors_carry_locus():
         load_taskset(b"{not json")
 
 
+@pytest.mark.parametrize("edges", [5, None])
+def test_load_rejects_edges_that_are_not_a_list(edges):
+    dag = {"id": 1, "period": 5, "nodes": [{"id": 1, "wcet": 1}], "edges": edges}
+    with pytest.raises(TaskSetError, match="dag 1: edges must be"):
+        load_taskset(doc([dag]))
+
+
 def test_dag_ids_must_be_dense():
     with pytest.raises(TaskSetError, match="dense"):
         TaskSet.build([single_node_dag(dag_id=2)])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dagsched.analysis import analyze_dag
+from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import TaskSet, build_dag, dumps_schedule, validate_schedule
 from dagsched.scheduler import (
     DAG_INFEASIBLE,
@@ -145,6 +146,13 @@ def test_compact_does_not_mutate_input(diamond, diamond_ts):
     lanes = primary_schedule(diamond)
     snapshot = by_node(lanes)
     compact(lanes, diamond_ts)
+    assert by_node(lanes) == snapshot
+    # the global pass over default collection 5 keeps one restretch trial
+    # and rolls back the loosened trial and the last restretch trial
+    ts, _ = generate_taskset(GenConfig(), 5)
+    lanes = stack_extended_schedules(ts)
+    snapshot = by_node(lanes)
+    assert len(compact(lanes, ts)) < len(lanes)
     assert by_node(lanes) == snapshot
 
 
