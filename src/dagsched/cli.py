@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -146,6 +147,11 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_config(args)
     core_counts = [int(x) for x in args.cores.split(",") if x]
+    # the report is written only after the whole experiment: fail before it
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        _say(f"error: no such directory: {out_dir}")
+        return 2
     report = run_experiment(cfg, core_counts)
     json_path, csv_path = export_report(report, args.out)
     _say(f"wrote {json_path} and {csv_path} ({report.regenerated} DAG redraws)")

@@ -248,14 +248,18 @@ class ScheduleMap:
 
     @classmethod
     def from_entries(cls, num_cores: int, entries: Iterable[ScheduleEntry]) -> "ScheduleMap":
-        lanes: list[list[ScheduleEntry]] = [[] for _ in range(num_cores)]
+        # Only cores that hold entries get a lane of their own; the rest
+        # share one empty tuple, so a large declared core count costs little.
+        by_core: dict[int, list[ScheduleEntry]] = {}
         for e in entries:
             if not 0 <= e.core < num_cores:
                 raise TaskSetError(f"entry core {e.core} out of range 0..{num_cores - 1}")
-            lanes[e.core].append(e)
-        for lane in lanes:
+            by_core.setdefault(e.core, []).append(e)
+        cores: list[tuple[ScheduleEntry, ...]] = [()] * num_cores
+        for core, lane in by_core.items():
             lane.sort(key=lambda e: (e.start, e.finish, e.dag_id, e.node_id, e.job))
-        return cls(num_cores=num_cores, cores=tuple(tuple(lane) for lane in lanes))
+            cores[core] = tuple(lane)
+        return cls(num_cores=num_cores, cores=tuple(cores))
 
     def entries(self) -> Iterable[ScheduleEntry]:
         for lane in self.cores:
@@ -339,6 +343,8 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
     # Per-core overlap: compare each entry against the latest finish so far
     # so nested intervals are caught, not just adjacent ones.
     for core_idx, lane in enumerate(mp.cores):
+        if not lane:
+            continue
         ordered = sorted(lane, key=lambda e: (e.start, e.finish, e.dag_id, e.node_id, e.job))
         prev = None
         for e in ordered:

@@ -260,6 +260,14 @@ class _Compactor:
         strict total order: the choice never depends on the order in which
         movers of equal width are visited, and restore may rebuild the
         width index in any such order.
+
+        A mover whose period window rules out the hole is skipped before
+        its links are read.  The test is exact: earliest() is at least the
+        release, so a mover with release + width > gap_end cannot finish by
+        gap_end; latest() is at most the deadline and the chosen start is at
+        least gap_start, so a mover with gap_start + width > deadline cannot
+        finish by its latest finish.  Either way the full check would reject
+        it, so the chosen mover is the same.
         """
         room = gap_end - gap_start
         best: _Linked | None = None
@@ -271,6 +279,8 @@ class _Compactor:
             for k in range(bisect_right(widths, room)):
                 cand = movers[k]
                 w = widths[k]
+                if cand.release + w > gap_end or cand.deadline < gap_start + w:
+                    continue
                 d = cand.earliest()
                 chosen = d if d > gap_start else gap_start
                 fin = chosen + w
@@ -381,7 +391,16 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     trial is enough, and the result is stable: compacting a compacted
     schedule is a no-op.  The whole ladder runs on one _Compactor: each
     trial starts from a save of the layout and a rejected trial is
-    restored from it.  Emptied cores are dropped and the rest renumbered.
+    restored from it.
+
+    No lane holds more work than the latest deadline of the entries, since
+    every entry starts at or after 0 and ends by its own deadline, so the
+    core count never drops below bound = ceil(busy time / latest deadline).
+    A trial is kept only when it strictly lowers the core count, so once
+    the count equals the bound no later trial can be kept: compact returns
+    after the baseline sweeps, or after a kept trial, as soon as the bound
+    is reached, with the same lanes the rejected trials would have left.
+    Emptied cores are dropped and the rest renumbered.
     The input is never mutated; busy time and the entry multiset are
     preserved.
 
@@ -389,12 +408,16 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     as primary_schedule and extend produce them.
     """
     work = _Compactor(cores, ts)
+    entries = [p for lane in work.lanes for p in lane]
+    busy = sum(p.finish - p.start for p in entries)
+    bound = -(-busy // max((p.deadline for p in entries), default=1))
     work.run(shift_any=False)
-    saved, target = work.save(), work.used()
-    work.run(shift_any=True)
-    if work.used() >= target:
-        work.restore(saved)
-    while True:
+    if work.used() > bound:
+        saved, target = work.save(), work.used()
+        work.run(shift_any=True)
+        if work.used() >= target:
+            work.restore(saved)
+    while work.used() > bound:
         saved, target = work.save(), work.used()
         for _ in range(_RESTRETCH_CYCLES):
             work.restretch()
@@ -403,7 +426,8 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
                 break
         if work.used() >= target:
             work.restore(saved)
-            return [lane for lane in work.lanes if lane]
+            break
+    return [lane for lane in work.lanes if lane]
 
 
 def extend(

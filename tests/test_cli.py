@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dagsched import bench
+from dagsched import bench, cli
 from dagsched.cli import run_cli
 from dagsched.model import (
     JOB_BUDGET,
@@ -302,3 +302,62 @@ def test_bench_validation_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert len(err) == 1
     assert err[0].startswith("error: collection 0 ")
+
+
+def test_bench_into_a_missing_directory_fails_before_the_experiment(tmp_path, capsys, monkeypatch):
+    def experiment(cfg, core_counts):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", experiment)
+    out_dir = tmp_path / "missing"
+    code = run_cli(["bench", "--seed", "0", "--cores", "4,8,16", "--out", str(out_dir / "r")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: no such directory: {out_dir}\n"
+
+
+COMMANDS = ("analyze", "schedule", "simulate", "validate", "render")
+DOCUMENTS = {  # "missing" names a file that is never written
+    "invalid_json": "{broken",
+    "json_array": "[]",
+    "no_dags": json.dumps({"dags": []}),
+    "dag_without_nodes": json.dumps({"dags": [{"id": 1, "period": 5, "nodes": []}]}),
+    "diamond": dumps_taskset(TaskSet.build([diamond_dag()])),
+    "empty_schedule": json.dumps({"num_cores": 0, "entries": []}),
+    "foreign_schedule": json.dumps({"num_cores": 1, "entries": [
+        {"dag": 2, "node": 1, "job": 0, "core": 0, "start": 0, "finish": 1}
+    ]}),
+    "string_num_cores": json.dumps({"num_cores": "1", "entries": []}),
+}
+EXIT_MATRIX = [  # (task set, schedule, exit status per command)
+    *[(bad, "empty_schedule", dict.fromkeys(COMMANDS, 2))
+      for bad in ("invalid_json", "json_array", "missing")],
+    ("no_dags", "empty_schedule", dict.fromkeys(COMMANDS, 0)),
+    ("dag_without_nodes", "empty_schedule", dict.fromkeys(COMMANDS, 0)),
+    *[("diamond", bad, {"validate": 2, "render": 2})
+      for bad in ("invalid_json", "json_array", "missing")],
+    ("diamond", "foreign_schedule", {"validate": 1, "render": 2}),
+    ("diamond", "string_num_cores", {"validate": 2, "render": 2}),
+]
+
+
+@pytest.mark.parametrize("command,taskset,schedule,code", [
+    pytest.param(command, taskset, schedule, code, id="-".join(
+        (command, taskset, schedule) if command in ("validate", "render") else (command, taskset)
+    ))
+    for taskset, schedule, codes in EXIT_MATRIX
+    for command, code in codes.items()
+])
+def test_exit_status_matrix(tmp_path, capsys, command, taskset, schedule, code):
+    def path(name):
+        p = tmp_path / f"{name}.json"
+        if name != "missing":
+            p.write_text(DOCUMENTS[name])
+        return str(p)
+
+    argv = [command, "--in", path(taskset), "--out", str(tmp_path / "out")]
+    if command in ("schedule", "simulate"):
+        argv += ["--cores", "2"]
+    if command in ("validate", "render"):
+        argv += ["--schedule", path(schedule)]
+    assert run_cli(argv) == code
+    assert "Traceback" not in capsys.readouterr().err

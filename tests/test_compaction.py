@@ -9,6 +9,8 @@ sorted by start with no overlapping entries.  Inside compact, every retry
 rung (each sweep-to-fixpoint, each restretch and each rollback of a
 rejected trial) must leave a legal schedule, checked against the task set
 rather than compaction's own links, and one compactor serves the call.
+No rung runs once the core count reaches the lower bound
+ceil(busy time / latest deadline), computed here from the task set.
 """
 
 from __future__ import annotations
@@ -86,40 +88,47 @@ def assert_legal_lanes(lanes, ts: TaskSet) -> None:
             assert p.finish <= at[(dag_id, c, job)].start, (p, at[(dag_id, c, job)])
 
 
+def core_bound(cores, ts: TaskSet) -> int:
+    """ceil(busy time / latest deadline) over the entries of cores."""
+    entries = [p for lane in cores for p in lane]
+    latest = max(((p.job + 1) * ts.dag(p.dag_id).period for p in entries), default=1)
+    return -(-sum(p.finish - p.start for p in entries) // latest)
+
+
+def cores_in_use(lanes) -> int:
+    return sum(1 for lane in lanes if lane)
+
+
 @contextmanager
 def checked_rungs(ts: TaskSet):
     """Check the lanes after every _Compactor.run, restretch and restore.
 
-    Yields the names of those calls and of every _Compactor construction.
+    Yields one (bound, rungs) pair per _Compactor construction: the core
+    lower bound of its input, and a (name, cores before, cores after)
+    triple for each of those calls in order.
     """
-    calls: list[str] = []
-    real_init, real_run = scheduler._Compactor.__init__, scheduler._Compactor.run
-    real_restretch, real_restore = scheduler._Compactor.restretch, scheduler._Compactor.restore
+    calls: list[tuple[int, list[tuple[str, int, int]]]] = []
+    real_init = scheduler._Compactor.__init__
 
     def init(self, cores, ts):
         real_init(self, cores, ts)
-        calls.append("init")
+        calls.append((core_bound(cores, ts), []))
 
-    def run(self, shift_any):
-        real_run(self, shift_any)
-        assert_legal_lanes(self.lanes, ts)
-        calls.append("run")
+    def checked(name):
+        real = getattr(scheduler._Compactor, name)
 
-    def restretch(self):
-        real_restretch(self)
-        assert_legal_lanes(self.lanes, ts)
-        calls.append("restretch")
+        def rung(self, *args, **kwargs):
+            before = cores_in_use(self.lanes)
+            real(self, *args, **kwargs)
+            assert_legal_lanes(self.lanes, ts)
+            calls[-1][1].append((name, before, cores_in_use(self.lanes)))
 
-    def restore(self, saved):
-        real_restore(self, saved)
-        assert_legal_lanes(self.lanes, ts)
-        calls.append("restore")
+        return rung
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scheduler._Compactor, "__init__", init)
-        mp.setattr(scheduler._Compactor, "run", run)
-        mp.setattr(scheduler._Compactor, "restretch", restretch)
-        mp.setattr(scheduler._Compactor, "restore", restore)
+        for name in ("run", "restretch", "restore"):
+            mp.setattr(scheduler._Compactor, name, checked(name))
         yield calls
 
 
@@ -127,14 +136,23 @@ def schedule_checking_rungs(ts: TaskSet) -> None:
     with checked_rungs(ts) as calls:
         result = scheduler.schedule_taskset(ts, 1 << 20)
     assert result.success
-    # every compact call builds one compactor, runs the baseline and the
-    # loosened sweeps once and at least one restretch, loosened sweeps follow
-    # each restretch, and the last restretch trial is always rolled back
-    compacts = sum(1 for d in ts.dags if d.nodes) + 1
-    assert calls.count("init") == compacts
-    assert calls.count("restretch") >= compacts
-    assert calls.count("run") == compacts * 2 + calls.count("restretch")
-    assert compacts <= calls.count("restore") <= compacts * 2
+    # every compact call builds one compactor
+    assert len(calls) == sum(1 for d in ts.dags if d.nodes) + 1
+    for bound, rungs in calls:
+        names = [name for name, _, _ in rungs]
+        baseline, final = rungs[0][2], rungs[-1][2]
+        assert names[0] == "run" and final >= bound
+        # the loosened sweeps run unless the baseline sweeps reach the
+        # bound, and loosened sweeps follow each restretch
+        assert names.count("run") == names.count("restretch") + (1 if baseline == bound else 2)
+        # no trial starts, and none is rolled back, once the bound is reached
+        for name, before, _ in rungs:
+            if name != "run":
+                assert before > bound, (name, before, bound)
+        # a call left above the bound ends with a rejected restretch trial
+        if final > bound:
+            assert "restretch" in names and names[-1] == "restore"
+        assert names.count("restore") <= 2
 
 
 @st.composite
@@ -183,6 +201,22 @@ def test_every_retry_rung_is_legal_on_default_collections():
     for c in range(DEFAULT_COLLECTIONS):
         ts, _ = generate_taskset(cfg, c)
         schedule_checking_rungs(ts)
+
+
+def test_compact_at_the_bound_after_the_baseline_sweeps_runs_no_trial():
+    # no trial can be kept once the core count equals the lower bound, so
+    # such a call makes no restretch and no restore
+    cfg = GenConfig()
+    at_bound = 0
+    for c in range(DEFAULT_COLLECTIONS):
+        ts, _ = generate_taskset(cfg, c)
+        with checked_rungs(ts) as calls:
+            scheduler.schedule_taskset(ts, 1 << 20)
+        for bound, rungs in calls:
+            if rungs[0][2] == bound:
+                at_bound += 1
+                assert [name for name, _, _ in rungs] == ["run"]
+    assert at_bound > 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -294,12 +294,22 @@ def test_job_budget_is_inclusive():
 
 
 def test_schedule_core_count_is_bounded_before_allocating():
-    # a schedule map allocates one lane per core, so the count is checked first
+    # a schedule map holds one lane slot per core, so the count is checked first
     text = json.dumps({"num_cores": JOB_BUDGET + 1, "entries": []})
     with allocation_limit(), pytest.raises(
         TaskSetError, match=f"num_cores must be in 0..{JOB_BUDGET}, got {JOB_BUDGET + 1}"
     ):
         load_schedule(text)
+
+
+def test_empty_cores_of_a_large_schedule_cost_no_lanes():
+    # cores without entries share one empty lane, so a large declared core
+    # count costs one slot per core, not one list per core
+    text = json.dumps({"num_cores": 1_000_000, "entries": []})
+    with allocation_limit(24 << 20):
+        mp = load_schedule(text)
+    assert mp.num_cores == len(mp.cores) == 1_000_000
+    assert mp.used_cores == 0
 
 
 def test_validator_catches_targeted_corruptions():
