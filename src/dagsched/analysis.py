@@ -97,14 +97,25 @@ def est_lft(dag: DagSpec) -> dict[int, tuple[int, int]]:
     to still meet the deadline.
     """
     order = dag.topo_order
+    nodes = [dag.node(nid) for nid in order]
     est: dict[int, int] = {}
-    for nid in order:
-        node = dag.node(nid)
-        est[nid] = max((est[p] + dag.node(p).wcet for p in node.parents), default=0)
+    eft: dict[int, int] = {}  # earliest finish: est + wcet
+    for node in nodes:
+        start = 0
+        for p in node.parents:
+            if eft[p] > start:
+                start = eft[p]
+        est[node.node_id] = start
+        eft[node.node_id] = start + node.wcet
     lft: dict[int, int] = {}
-    for nid in reversed(order):
-        node = dag.node(nid)
-        lft[nid] = min((lft[c] - dag.node(c).wcet for c in node.children), default=dag.deadline)
+    lst: dict[int, int] = {}  # latest start: lft - wcet
+    for node in reversed(nodes):
+        finish = dag.deadline
+        for c in node.children:
+            if lst[c] < finish:
+                finish = lst[c]
+        lft[node.node_id] = finish
+        lst[node.node_id] = finish - node.wcet
     return {nid: (est[nid], lft[nid]) for nid in order}
 
 

@@ -11,7 +11,7 @@ finishes), which is exact for non-preemptive work-conserving scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .model import JOB_BUDGET, ScheduleEntry, ScheduleMap, TaskSet
 
@@ -46,20 +46,34 @@ def gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
     if not 1 <= m <= JOB_BUDGET:
         raise ValueError(f"core count must be in 1..{JOB_BUDGET}, got {m}")
 
-    releases: list[tuple[int, int, int]] = []  # (time, dag_id, job)
+    # One table per DAG, read instead of the DagSpec in the event loop:
+    # node id -> (wcet, children), plus the parent count of each non-entry
+    # node, which every job copies as its countdown of unfinished parents.
+    releases: list[tuple[int, int, int, int, dict, tuple, dict]] = []
     for dag in ts.dags:
         if not dag.nodes:
             continue
-        for k in range(ts.hyperperiod // dag.period):
-            releases.append((k * dag.period, dag.dag_id, k))
+        nodes = {n.node_id: (n.wcet, n.children) for n in dag.nodes}
+        entry_ids = tuple(n.node_id for n in dag.nodes if not n.parents)
+        counts = {n.node_id: len(n.parents) for n in dag.nodes if n.parents}
+        period = dag.period
+        for k in range(ts.hyperperiod // period):
+            # (time, dag, job) is unique, so the sort never compares the tables.
+            releases.append((k * period, dag.dag_id, k, period, nodes, entry_ids, counts))
     releases.sort()
 
-    pending: dict[tuple[int, int, int], int] = {}  # unfinished-parent counts
-    eligible: list[tuple[int, int, int, int]] = []  # (deadline, dag, node, job)
-    running: list[tuple[int, int, int, int, int]] = []  # (finish, core, dag, node, job)
-    free = list(range(m))
-    heapify(free)
-    entries: list[ScheduleEntry] = []
+    # eligible: (deadline, dag, node, job, nodes, left) and running: (finish,
+    # core, deadline, dag, job, nodes, children, left).  The leading fields
+    # are unique among queued instances, so heap order never reaches the
+    # tables; left is the job's own countdown of unfinished parents.
+    eligible: list[tuple] = []
+    running: list[tuple] = []
+    # lanes holds one list per core taken so far and free those of them that
+    # are idle again.  A core runs one entry at a time, so appending at
+    # dispatch keeps its lane in start order.
+    lanes: list[list[ScheduleEntry]] = []
+    free: list[int] = []
+    first: MissLocus | None = None
 
     idx = 0
     while idx < len(releases) or running:
@@ -69,41 +83,43 @@ def gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
 
         # Releases at this instant: every entry node of the job turns eligible.
         while idx < len(releases) and releases[idx][0] == now:
-            _, dag_id, job = releases[idx]
+            _, dag_id, job, period, nodes, entry_ids, counts = releases[idx]
             idx += 1
-            dag = ts.dag(dag_id)
-            deadline = (job + 1) * dag.period
-            for node in dag.nodes:
-                if node.parents:
-                    pending[(dag_id, node.node_id, job)] = len(node.parents)
-                else:
-                    heappush(eligible, (deadline, dag_id, node.node_id, job))
+            deadline = (job + 1) * period
+            left = counts.copy()
+            for node_id in entry_ids:
+                heappush(eligible, (deadline, dag_id, node_id, job, nodes, left))
 
         # Finishes at this instant free their cores and release children.
         while running and running[0][0] == now:
-            _, core, dag_id, node_id, job = heappop(running)
+            _, core, deadline, dag_id, job, nodes, children, left = heappop(running)
             heappush(free, core)
-            dag = ts.dag(dag_id)
-            deadline = (job + 1) * dag.period
-            for child in dag.node(node_id).children:
-                key = (dag_id, child, job)
-                pending[key] -= 1
-                if pending[key] == 0:
-                    del pending[key]
-                    heappush(eligible, (deadline, dag_id, child, job))
+            for child in children:
+                left[child] -= 1
+                if not left[child]:
+                    heappush(eligible, (deadline, dag_id, child, job, nodes, left))
 
-        while free and eligible:
-            deadline, dag_id, node_id, job = heappop(eligible)
-            core = heappop(free)
-            wcet = ts.dag(dag_id).node(node_id).wcet
-            entries.append(ScheduleEntry(dag_id, node_id, job, core, now, now + wcet))
-            heappush(running, (now + wcet, core, dag_id, node_id, job))
+        while eligible and (free or len(lanes) < m):
+            deadline, dag_id, node_id, job, nodes, left = heappop(eligible)
+            # The lowest free core: every core taken before has a lower
+            # index than the next one never taken.
+            if free:
+                core = heappop(free)
+            else:
+                core = len(lanes)
+                lanes.append([])
+            wcet, children = nodes[node_id]
+            finish = now + wcet
+            lanes[core].append(ScheduleEntry(dag_id, node_id, job, core, now, finish))
+            heappush(running, (finish, core, deadline, dag_id, job, nodes, children, left))
+            if finish > deadline and (
+                first is None
+                or (deadline, dag_id, node_id, job)
+                < (first.deadline, first.dag_id, first.node_id, first.job)
+            ):
+                first = MissLocus(dag_id, node_id, job, deadline, finish)
 
-    trace = ScheduleMap.from_entries(m, entries)
-    misses = [
-        MissLocus(e.dag_id, e.node_id, e.job, (e.job + 1) * ts.dag(e.dag_id).period, e.finish)
-        for e in entries
-        if e.finish > (e.job + 1) * ts.dag(e.dag_id).period
-    ]
-    first = min(misses, key=lambda x: (x.deadline, x.dag_id, x.node_id, x.job), default=None)
+    # Cores never taken share one empty lane, so a large m costs little.
+    cores = tuple(map(tuple, lanes)) + ((),) * (m - len(lanes))
+    trace = ScheduleMap(num_cores=m, cores=cores)
     return SimResult(success=first is None, trace=trace, first_miss=first)

@@ -426,8 +426,11 @@ _MARGIN_RIGHT = 16
 def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
     """Render a schedule map as an SVG document, one lane per core.
 
-    Boxes are colored by DAG and labelled dag.node; dashed gridlines mark
-    every DAG's period multiples.  Output is deterministic for a given map.
+    Lanes are drawn up to the last core that holds an entry; the idle cores
+    after it share one row whose label counts them, so a large declared core
+    count costs one line.  Boxes are colored by DAG and labelled dag.node;
+    dashed gridlines mark every DAG's period multiples.  Output is
+    deterministic for a given map.
     Entries may overlap or run late, but each must be a job instance of ts:
     the first that is not raises TaskSetError, so a schedule drawn against
     the wrong task set is refused.
@@ -439,10 +442,15 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
                 f"dag {e.dag_id} node {e.node_id} job {e.job} on core {e.core}: "
                 f"no such job instance in the task set"
             )
+    shown = mp.num_cores
+    while shown and not mp.cores[shown - 1]:
+        shown -= 1
+    idle = mp.num_cores - shown
+    rows = max(1, shown + 1 if idle else shown)
     horizon = max(ts.hyperperiod, 1)
     px = max(4, min(48, 960 // horizon))
     width = _MARGIN_LEFT + horizon * px + _MARGIN_RIGHT
-    height = _MARGIN_TOP + max(1, mp.num_cores) * _LANE_HEIGHT + _MARGIN_BOTTOM
+    height = _MARGIN_TOP + rows * _LANE_HEIGHT + _MARGIN_BOTTOM
     x0 = _MARGIN_LEFT
     y0 = _MARGIN_TOP
 
@@ -452,7 +460,7 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
 
-    axis_bottom = y0 + mp.num_cores * _LANE_HEIGHT if mp.num_cores else y0 + _LANE_HEIGHT
+    axis_bottom = y0 + rows * _LANE_HEIGHT
     # Time axis with a tick every period gridline plus the horizon ends.
     out.append(
         f'<line x1="{x0}" y1="{axis_bottom}" x2="{x0 + horizon * px}" y2="{axis_bottom}" '
@@ -473,7 +481,7 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
                 f'stroke-width="1" stroke-dasharray="3,3" opacity="0.6"/>'
             )
 
-    for core in range(mp.num_cores):
+    for core in range(shown):
         y = y0 + core * _LANE_HEIGHT
         out.append(
             f'<text x="{x0 - 8}" y="{y + _LANE_HEIGHT // 2 + 4}" text-anchor="end" '
@@ -499,6 +507,16 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
                     f'<text x="{bx + bw // 2}" y="{by + _BAR_HEIGHT - 8}" text-anchor="middle" '
                     f'fill="white">{e.dag_id}.{e.node_id}</text>'
                 )
+    if idle:
+        y = y0 + shown * _LANE_HEIGHT
+        what = f"core {shown}" if idle == 1 else f"{idle} cores {shown}..{mp.num_cores - 1}"
+        out.append(
+            f'<text x="{x0 + 4}" y="{y + _LANE_HEIGHT // 2 + 4}" fill="#999">{what} idle</text>'
+        )
+        out.append(
+            f'<line x1="{x0}" y1="{y}" x2="{x0 + horizon * px}" y2="{y}" '
+            f'stroke="#ddd" stroke-width="1"/>'
+        )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

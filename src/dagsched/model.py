@@ -12,7 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 TICK_MAX = 2**64 - 1
 # Job instances per hyperperiod a task set may expand to: extension, the
@@ -184,27 +185,32 @@ def build_dag(
             raise TaskSetError(f"dag {dag_id}: cycle detected: {u} -> {u}")
         children[u].add(v)
         parents[v].add(u)
+    kids = {nid: tuple(sorted(children[nid])) for nid in ids}
 
-    # Kahn's algorithm: topological order, doubling as the cycle check.
+    # Kahn's algorithm: topological order, doubling as the cycle check.  The
+    # order list is its own queue: the loop visits nodes appended behind it.
     indeg = {nid: len(parents[nid]) for nid in ids}
-    ready = sorted(nid for nid in ids if indeg[nid] == 0)
-    order = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        for c in sorted(children[nid]):
+    order = [nid for nid in ids if not indeg[nid]]
+    for nid in order:
+        for c in kids[nid]:
             indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
+            if not indeg[c]:
+                order.append(c)
     if len(order) < len(ids):
         _find_cycle(dag_id, set(ids) - set(order), parents)
 
     # Longest path ending at each node, in topological order.
     head: dict[int, int] = {}
+    cp_length = 0
     for nid in order:
-        best = max((head[p] for p in parents[nid]), default=0)
-        head[nid] = best + wcets[nid]
-    cp_length = max(head.values(), default=0)
+        best = 0
+        for p in parents[nid]:
+            if head[p] > best:
+                best = head[p]
+        best += wcets[nid]
+        head[nid] = best
+        if best > cp_length:
+            cp_length = best
 
     nodes = tuple(
         TaskNode(
@@ -212,7 +218,7 @@ def build_dag(
             node_id=nid,
             wcet=wcets[nid],
             parents=tuple(sorted(parents[nid])),
-            children=tuple(sorted(children[nid])),
+            children=kids[nid],
         )
         for nid in ids
     )
@@ -227,9 +233,12 @@ def build_dag(
     )
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One placed job execution: node instance `job` of a DAG on a core."""
+class ScheduleEntry(NamedTuple):
+    """One placed job execution: node instance `job` of a DAG on a core.
+
+    A named tuple: immutable, and equal (with an equal hash) to any entry or
+    plain tuple of the same six fields in this order.
+    """
 
     dag_id: int
     node_id: int
@@ -237,6 +246,12 @@ class ScheduleEntry:
     core: int
     start: int
     finish: int
+
+
+# Sort keys over ScheduleEntry fields: within a lane (start, finish, dag,
+# node, job); in a schedule document (core, then the lane order).
+_LANE_ORDER = itemgetter(4, 5, 0, 1, 2)
+_DOC_ORDER = itemgetter(3, 4, 5, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -257,7 +272,7 @@ class ScheduleMap:
             by_core.setdefault(e.core, []).append(e)
         cores: list[tuple[ScheduleEntry, ...]] = [()] * num_cores
         for core, lane in by_core.items():
-            lane.sort(key=lambda e: (e.start, e.finish, e.dag_id, e.node_id, e.job))
+            lane.sort(key=_LANE_ORDER)
             cores[core] = tuple(lane)
         return cls(num_cores=num_cores, cores=tuple(cores))
 
@@ -288,6 +303,10 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _locus(e: ScheduleEntry, core_idx: int) -> str:
+    return f"dag {e.dag_id} node {e.node_id} job {e.job} on core {core_idx}"
+
+
 def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
     """Check a schedule map against every rule of the task model.
 
@@ -299,56 +318,63 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
     ``unknown_node`` and skipped by the remaining checks.
     """
     violations: list[Violation] = []
-    expected: dict[tuple[int, int, int], TaskNode] = {}
+    expected: dict[tuple[int, int, int], tuple[int, int]] = {}  # -> (wcet, period)
     for dag in ts.dags:
+        jobs = range(ts.hyperperiod // dag.period)
         for node in dag.nodes:
-            for k in range(ts.hyperperiod // dag.period):
-                expected[(dag.dag_id, node.node_id, k)] = node
+            spec = (node.wcet, dag.period)
+            for k in jobs:
+                expected[(dag.dag_id, node.node_id, k)] = spec
 
     seen: dict[tuple[int, int, int], ScheduleEntry] = {}
     for core_idx, lane in enumerate(mp.cores):
         for e in lane:
-            key = (e.dag_id, e.node_id, e.job)
-            locus = f"dag {e.dag_id} node {e.node_id} job {e.job} on core {core_idx}"
-            if key not in expected:
-                violations.append(Violation(UNKNOWN_NODE, f"{locus}: no such job instance"))
+            key = e[:3]  # (dag_id, node_id, job)
+            spec = expected.get(key)
+            if spec is None:
+                violations.append(
+                    Violation(UNKNOWN_NODE, f"{_locus(e, core_idx)}: no such job instance")
+                )
                 continue
             if key in seen:
-                violations.append(Violation(UNKNOWN_NODE, f"{locus}: duplicate placement"))
+                violations.append(
+                    Violation(UNKNOWN_NODE, f"{_locus(e, core_idx)}: duplicate placement")
+                )
                 continue
             seen[key] = e
-            node = expected[key]
-            period = ts.dag(e.dag_id).period
+            wcet, period = spec
+            start, finish = e.start, e.finish
             release = e.job * period
-            deadline = (e.job + 1) * period
-            if e.finish - e.start != node.wcet:
-                violations.append(
-                    Violation(DURATION, f"{locus}: runs {e.finish - e.start} ticks, wcet is {node.wcet}")
-                )
-            if e.start < release:
-                violations.append(
-                    Violation(RELEASE, f"{locus}: starts {e.start} before release {release}")
-                )
-            if e.finish > deadline:
-                violations.append(
-                    Violation(DEADLINE, f"{locus}: finishes {e.finish} after deadline {deadline}")
-                )
+            if finish - start != wcet:
+                violations.append(Violation(
+                    DURATION, f"{_locus(e, core_idx)}: runs {finish - start} ticks, wcet is {wcet}"
+                ))
+            if start < release:
+                violations.append(Violation(
+                    RELEASE, f"{_locus(e, core_idx)}: starts {start} before release {release}"
+                ))
+            if finish > release + period:
+                violations.append(Violation(
+                    DEADLINE,
+                    f"{_locus(e, core_idx)}: finishes {finish} after deadline {release + period}",
+                ))
 
-    for dag_id, node_id, k in expected:
-        if (dag_id, node_id, k) not in seen:
-            violations.append(
-                Violation(MISSING_JOB, f"dag {dag_id} node {node_id} job {k}: never scheduled")
-            )
+    if len(seen) < len(expected):
+        for dag_id, node_id, k in expected:
+            if (dag_id, node_id, k) not in seen:
+                violations.append(
+                    Violation(MISSING_JOB, f"dag {dag_id} node {node_id} job {k}: never scheduled")
+                )
 
     # Per-core overlap: compare each entry against the latest finish so far
     # so nested intervals are caught, not just adjacent ones.
     for core_idx, lane in enumerate(mp.cores):
         if not lane:
             continue
-        ordered = sorted(lane, key=lambda e: (e.start, e.finish, e.dag_id, e.node_id, e.job))
-        prev = None
+        ordered = iter(sorted(lane, key=_LANE_ORDER))
+        prev = next(ordered)
         for e in ordered:
-            if prev is not None and e.start < prev.finish:
+            if e.start < prev.finish:
                 violations.append(
                     Violation(
                         OVERLAP,
@@ -357,21 +383,24 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
                         f"{prev.node_id} job {prev.job} [{prev.start},{prev.finish})",
                     )
                 )
-            if prev is None or e.finish > prev.finish:
+            if e.finish > prev.finish:
                 prev = e
 
     # Same-job precedence, checked only where both endpoints were placed.
     for dag in ts.dags:
-        for node in dag.nodes:
-            for child in node.children:
-                for k in range(ts.hyperperiod // dag.period):
-                    pe = seen.get((dag.dag_id, node.node_id, k))
-                    ce = seen.get((dag.dag_id, child, k))
-                    if pe is not None and ce is not None and pe.finish > ce.start:
+        dag_id = dag.dag_id
+        for k in range(ts.hyperperiod // dag.period):
+            for node in dag.nodes:
+                pe = seen.get((dag_id, node.node_id, k))
+                if pe is None:
+                    continue
+                for child in node.children:
+                    ce = seen.get((dag_id, child, k))
+                    if ce is not None and pe.finish > ce.start:
                         violations.append(
                             Violation(
                                 PRECEDENCE,
-                                f"dag {dag.dag_id} job {k}: node {node.node_id} finishes "
+                                f"dag {dag_id} job {k}: node {node.node_id} finishes "
                                 f"{pe.finish} after child {child} starts {ce.start}",
                             )
                         )
@@ -392,9 +421,16 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
 # Entries are sorted by (core, start) so serialization is byte-stable.
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value, what: str, *args) -> int:
+    """value itself if it is an integer (not a bool).
+
+    Otherwise raises TaskSetError naming ``what % args``: the text is only
+    built for the error.
+    """
+    if type(value) is int:
+        return value
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TaskSetError(f"{what} must be an integer, got {value!r}")
+        raise TaskSetError(f"{what % args} must be an integer, got {value!r}")
     return value
 
 
@@ -410,7 +446,7 @@ def load_taskset(data: bytes | str) -> TaskSet:
     for i, d in enumerate(doc["dags"]):
         if not isinstance(d, dict):
             raise TaskSetError(f"dag entry {i}: must be an object")
-        dag_id = _as_int(d.get("id"), f"dag entry {i}: id")
+        dag_id = _as_int(d.get("id"), "dag entry %d: id", i)
         period = d.get("period")
         nodes = d.get("nodes")
         if not isinstance(nodes, list):
@@ -419,7 +455,7 @@ def load_taskset(data: bytes | str) -> TaskSet:
         for n in nodes:
             if not isinstance(n, dict):
                 raise TaskSetError(f"dag {dag_id}: node entries must be objects")
-            nid = _as_int(n.get("id"), f"dag {dag_id}: node id")
+            nid = _as_int(n.get("id"), "dag %d: node id", dag_id)
             if nid in wcets:
                 raise TaskSetError(f"dag {dag_id}: duplicate node id {nid}")
             wcets[nid] = n.get("wcet")
@@ -430,7 +466,11 @@ def load_taskset(data: bytes | str) -> TaskSet:
         for e in edge_docs:
             if not (isinstance(e, list) and len(e) == 2):
                 raise TaskSetError(f"dag {dag_id}: edges must be [src, dst] pairs")
-            edges.append((_as_int(e[0], f"dag {dag_id}: edge src"), _as_int(e[1], f"dag {dag_id}: edge dst")))
+            u, v = e
+            if type(u) is not int or type(v) is not int:
+                _as_int(u, "dag %d: edge src", dag_id)
+                _as_int(v, "dag %d: edge dst", dag_id)
+            edges.append((u, v))
         dags.append(build_dag(dag_id, period, wcets, edges))
     return TaskSet.build(dags)
 
@@ -453,28 +493,27 @@ def dumps_taskset(ts: TaskSet) -> str:
     return json.dumps(taskset_doc(ts), indent=2) + "\n"
 
 
-def schedule_doc(mp: ScheduleMap) -> dict:
-    ordered = sorted(
-        mp.entries(), key=lambda e: (e.core, e.start, e.finish, e.dag_id, e.node_id, e.job)
-    )
-    return {
-        "num_cores": mp.num_cores,
-        "entries": [
-            {
-                "dag": e.dag_id,
-                "node": e.node_id,
-                "job": e.job,
-                "core": e.core,
-                "start": e.start,
-                "finish": e.finish,
-            }
-            for e in ordered
-        ],
-    }
+# One schedule entry as json.dumps(..., indent=2) lays it out inside the
+# "entries" list; the fields follow ScheduleEntry's order.
+_ENTRY_TEMPLATE = (
+    '    {\n      "dag": %d,\n      "node": %d,\n      "job": %d,\n'
+    '      "core": %d,\n      "start": %d,\n      "finish": %d\n    }'
+)
 
 
 def dumps_schedule(mp: ScheduleMap) -> str:
-    return json.dumps(schedule_doc(mp), indent=2) + "\n"
+    """Serialize a schedule map as its schedule document.
+
+    The bytes equal json.dumps(doc, indent=2) + "\\n" of the document with
+    entries ordered by (core, start, finish, dag, node, job).  The text is
+    written from fixed templates because json's indented encoder runs in
+    pure Python, one call per value.
+    """
+    ordered = sorted(mp.entries(), key=_DOC_ORDER)
+    if not ordered:
+        return '{\n  "num_cores": %d,\n  "entries": []\n}\n' % mp.num_cores
+    body = ",\n".join(map(_ENTRY_TEMPLATE.__mod__, ordered))
+    return '{\n  "num_cores": %d,\n  "entries": [\n%s\n  ]\n}\n' % (mp.num_cores, body)
 
 
 def load_schedule(data: bytes | str) -> ScheduleMap:
@@ -497,12 +536,12 @@ def load_schedule(data: bytes | str) -> ScheduleMap:
             raise TaskSetError(f"entry {i}: must be an object")
         entries.append(
             ScheduleEntry(
-                dag_id=_as_int(e.get("dag"), f"entry {i}: dag"),
-                node_id=_as_int(e.get("node"), f"entry {i}: node"),
-                job=_as_int(e.get("job"), f"entry {i}: job"),
-                core=_as_int(e.get("core"), f"entry {i}: core"),
-                start=_as_int(e.get("start"), f"entry {i}: start"),
-                finish=_as_int(e.get("finish"), f"entry {i}: finish"),
+                dag_id=_as_int(e.get("dag"), "entry %d: dag", i),
+                node_id=_as_int(e.get("node"), "entry %d: node", i),
+                job=_as_int(e.get("job"), "entry %d: job", i),
+                core=_as_int(e.get("core"), "entry %d: core", i),
+                start=_as_int(e.get("start"), "entry %d: start", i),
+                finish=_as_int(e.get("finish"), "entry %d: finish", i),
             )
         )
     return ScheduleMap.from_entries(num_cores, entries)

@@ -124,6 +124,30 @@ def allocation_limit(limit: int = 1 << 20):
 # --- schedule/trace checkers --------------------------------------------------
 
 
+def reference_schedule_doc(mp: ScheduleMap) -> dict:
+    """The schedule document of mp, entries by (core, start, finish, dag, node, job).
+
+    dumps_schedule must write exactly json.dumps(doc, indent=2) + "\\n".
+    """
+    ordered = sorted(
+        mp.entries(), key=lambda e: (e.core, e.start, e.finish, e.dag_id, e.node_id, e.job)
+    )
+    return {
+        "num_cores": mp.num_cores,
+        "entries": [
+            {
+                "dag": e.dag_id,
+                "node": e.node_id,
+                "job": e.job,
+                "core": e.core,
+                "start": e.start,
+                "finish": e.finish,
+            }
+            for e in ordered
+        ],
+    }
+
+
 def entry_multiset(lanes) -> list[tuple[int, int, int, int]]:
     """Multiset of (dag, node, job, duration); positions are free to change."""
     return sorted(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from dagsched.baseline import gedf_np_simulate
 from dagsched.bench import GenConfig, generate_taskset
@@ -21,6 +24,7 @@ from helpers import (
     check_work_conserving,
     single_node_dag,
 )
+from reference_gedf import reference_gedf_np_simulate
 
 
 def test_single_node_runs_at_release():
@@ -89,6 +93,14 @@ def test_rejects_bad_core_count():
         gedf_np_simulate(ts, JOB_BUDGET + 1)
 
 
+def test_cores_never_taken_cost_no_lanes():
+    ts = TaskSet.build([single_node_dag(period=5, wcet=2)])
+    with allocation_limit(24 << 20):
+        sim = gedf_np_simulate(ts, JOB_BUDGET)
+    assert sim.success and sim.trace.num_cores == JOB_BUDGET
+    assert sim.trace.used_cores == 1 and len(sim.trace.cores) == JOB_BUDGET
+
+
 def test_determinism():
     cfg = GenConfig(collections=1, dags_per_collection=4, nodes_per_dag=(2, 8),
                     wcet_range=(1, 6), period_menu=(8, 16), seed=5)
@@ -111,3 +123,62 @@ def test_work_conservation_and_edf_order_on_random_sets():
         assert check_edf_dispatch(ts, sim.trace) == []
         if sim.success:
             assert validate_schedule(sim.trace, ts).ok
+
+
+# --- equality with the reference simulator -----------------------------------
+
+DEFAULT_COLLECTIONS = 40
+
+
+def test_default_collections_match_reference():
+    cfg = GenConfig()
+    misses = 0
+    for c in range(DEFAULT_COLLECTIONS):
+        ts, _ = generate_taskset(cfg, c)
+        for m in (1, 2, 3, 4, 8, 16):
+            sim = gedf_np_simulate(ts, m)
+            assert sim == reference_gedf_np_simulate(ts, m), (c, m)
+            misses += not sim.success
+    assert misses > 0
+
+
+def test_replay_config_matches_reference():
+    # the benchmark's replay sets: wide DAGs on ceil(U) + 1 cores, and on
+    # fewer cores so that deadlines are missed
+    cfg = GenConfig(collections=8, dags_per_collection=5, edge_prob=0.15,
+                    nodes_per_dag=(30, 60), period_menu=(100, 200), seed=1)
+    misses = 0
+    for c in range(cfg.collections):
+        ts, _ = generate_taskset(cfg, c)
+        bound = math.ceil(sum(dag.utilization for dag in ts.dags))
+        for m in (bound + 1, max(1, bound - 1)):
+            sim = gedf_np_simulate(ts, m)
+            assert sim == reference_gedf_np_simulate(ts, m), (c, m)
+            misses += not sim.success
+    assert misses > 0
+
+
+@st.composite
+def small_tasksets(draw):
+    # periods are not fitted to the work, so overloads and misses are common
+    dags = []
+    for dag_id in range(1, draw(st.integers(1, 3)) + 1):
+        n = draw(st.integers(1, 5))
+        wcets = {i: draw(st.integers(1, 6)) for i in range(1, n + 1)}
+        edges = [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if draw(st.booleans())
+        ]
+        period = draw(st.sampled_from((2, 3, 4, 6, 8, 12)))
+        dags.append(build_dag(dag_id, period, wcets, edges))
+    return TaskSet.build(dags)
+
+
+def test_small_tasksets_include_misses():
+    missed = find(small_tasksets(), lambda ts: not gedf_np_simulate(ts, 2).success)
+    assert reference_gedf_np_simulate(missed, 2).first_miss is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tasksets(), st.integers(1, 4))
+def test_small_tasksets_match_reference(ts, m):
+    assert gedf_np_simulate(ts, m) == reference_gedf_np_simulate(ts, m)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -25,6 +26,7 @@ from dagsched.model import (
     TaskSet,
     TaskSetError,
     dumps_taskset,
+    load_schedule,
     validate_schedule,
 )
 from dagsched.scheduler import schedule_taskset
@@ -277,6 +279,43 @@ def test_gantt_draws_overlapping_and_late_entries():
     mp = ScheduleMap.from_entries(1, entries)
     assert not validate_schedule(mp, ts).ok
     assert render_gantt(mp, ts).count("<title>") == 4
+
+
+def test_gantt_without_trailing_idle_cores_keeps_its_bytes():
+    # sha256 of the SVGs as rendered before idle cores were folded into one
+    # row: default collection 0 scheduled on up to 16 cores, and its GEDF-NP
+    # trace on 4 cores, both busy up to their last core
+    ts, _ = generate_taskset(GenConfig(), 0)
+    for mp, digest in (
+        (schedule_taskset(ts, 16).schedule,
+         "a0baab23f433a1878c11a4710d9fbe38312a89d06db7c9741a4c56e64d3b8bf5"),
+        (gedf_np_simulate(ts, 4).trace,
+         "b80df8f88875701d35e65fbf7c50f778fea6af2d0ac846da7a0331d432c06564"),
+    ):
+        assert mp.cores[-1]
+        assert hashlib.sha256(render_gantt(mp, ts).encode()).hexdigest() == digest
+
+
+def test_gantt_folds_trailing_idle_cores_into_one_row():
+    ts, _ = generate_taskset(GenConfig(), 0)
+    trace = gedf_np_simulate(ts, 16).trace
+    shown = trace.used_cores
+    assert 0 < shown < 15 and trace.cores[shown - 1] and not trace.cores[shown]
+    svg = render_gantt(trace, ts)
+    assert f">core {shown - 1}</text>" in svg and f">core {shown}</text>" not in svg
+    assert f">{16 - shown} cores {shown}..15 idle</text>" in svg
+    assert svg.count("<title>") == sum(len(lane) for lane in trace.cores)
+    one_idle = ScheduleMap.from_entries(shown + 1, trace.entries())
+    assert f">core {shown} idle</text>" in render_gantt(one_idle, ts)
+
+
+def test_gantt_of_a_huge_empty_schedule_stays_small():
+    ts = TaskSet.build([diamond_dag()])
+    mp = load_schedule('{"num_cores": 100000, "entries": []}')
+    with allocation_limit(1 << 20):
+        svg = render_gantt(mp, ts)
+    assert len(svg.encode()) < 64 * 1024
+    assert ">100000 cores 0..99999 idle</text>" in svg
 
 
 @pytest.mark.parametrize("dag_id,node_id,job", [(2, 1, 0), (1, 5, 0), (1, 1, 1), (1, 1, -1)])

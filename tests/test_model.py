@@ -4,7 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dagsched.baseline import gedf_np_simulate
+from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import (
     JOB_BUDGET,
     ScheduleEntry,
@@ -21,7 +25,15 @@ from dagsched.model import (
     validate_schedule,
 )
 
-from helpers import allocation_limit, chain_dag, diamond_dag, single_node_dag
+from dagsched.scheduler import schedule_taskset
+
+from helpers import (
+    allocation_limit,
+    chain_dag,
+    diamond_dag,
+    reference_schedule_doc,
+    single_node_dag,
+)
 
 
 def doc(dags):
@@ -219,6 +231,81 @@ def test_validate_is_order_insensitive():
     for _ in range(5):
         rng.shuffle(entries)
         assert validate_schedule(ScheduleMap.from_entries(1, entries), ts).ok
+
+
+def test_validator_text_of_every_violation_kind():
+    # one schedule with all seven kinds, a duplicate placement among them;
+    # the strings are pinned so that no check's wording or order drifts
+    ts = TaskSet.build([
+        build_dag(1, 10, {1: 2, 2: 2}, [(1, 2)]),
+        build_dag(2, 5, {1: 3}),
+        build_dag(3, 10, {1: 1, 2: 2, 3: 1}, [(2, 3)]),
+    ])
+    entries = [
+        ScheduleEntry(1, 1, 0, 0, 0, 2),
+        ScheduleEntry(2, 1, 0, 0, 1, 4),    # overlaps the entry above
+        ScheduleEntry(1, 2, 0, 1, 1, 3),    # starts before its parent finishes
+        ScheduleEntry(2, 1, 1, 1, 4, 6),    # before its release, too short
+        ScheduleEntry(3, 3, 0, 1, 7, 8),    # before its parent finishes
+        ScheduleEntry(1, 9, 0, 2, 0, 1),    # unknown node
+        ScheduleEntry(1, 1, 0, 2, 3, 5),    # duplicate placement
+        ScheduleEntry(3, 2, 0, 2, 9, 11),   # after its deadline; dag 3 node 1 missing
+    ]
+    report = validate_schedule(ScheduleMap.from_entries(3, entries), ts)
+    assert not report.ok
+    assert [(v.kind, v.where) for v in report.violations] == [
+        ("deadline", "dag 3 node 2 job 0 on core 2: finishes 11 after deadline 10"),
+        ("duration", "dag 2 node 1 job 1 on core 1: runs 2 ticks, wcet is 3"),
+        ("missing_job", "dag 3 node 1 job 0: never scheduled"),
+        ("overlap", "core 0: dag 2 node 1 job 0 [1,4) overlaps dag 1 node 1 job 0 [0,2)"),
+        ("precedence", "dag 1 job 0: node 1 finishes 2 after child 2 starts 1"),
+        ("precedence", "dag 3 job 0: node 2 finishes 11 after child 3 starts 7"),
+        ("release", "dag 2 node 1 job 1 on core 1: starts 4 before release 5"),
+        ("unknown_node", "dag 1 node 1 job 0 on core 2: duplicate placement"),
+        ("unknown_node", "dag 1 node 9 job 0 on core 2: no such job instance"),
+    ]
+
+
+def test_schedule_entry_is_an_immutable_tuple():
+    e = ScheduleEntry(1, 2, 3, 4, 5, 6)
+    assert e == (1, 2, 3, 4, 5, 6) and hash(e) == hash((1, 2, 3, 4, 5, 6))
+    assert e == ScheduleEntry(1, 2, 3, 4, 5, 6) and e != ScheduleEntry(1, 2, 3, 4, 5, 7)
+    dag_id, node_id, job, core, start, finish = e
+    assert (dag_id, node_id, job, core, start, finish) == (e.dag_id, e.node_id, e.job,
+                                                          e.core, e.start, e.finish)
+    with pytest.raises(AttributeError):
+        e.start = 0
+
+
+@st.composite
+def schedule_maps(draw):
+    num_cores = draw(st.one_of(st.integers(0, 4), st.integers(5, 5000)))
+    if not num_cores:
+        return ScheduleMap.from_entries(0, [])
+    tick = st.integers(-(2**20), 2**64 - 1)
+    entry = st.builds(ScheduleEntry, tick, tick, tick, st.integers(0, num_cores - 1), tick, tick)
+    return ScheduleMap.from_entries(num_cores, draw(st.lists(entry, max_size=30)))
+
+
+def assert_writes_reference_document(mp):
+    assert dumps_schedule(mp) == json.dumps(reference_schedule_doc(mp), indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_maps())
+def test_schedule_writer_matches_json_on_any_map(mp):
+    assert_writes_reference_document(mp)
+
+
+def test_schedule_writer_matches_json_on_default_collections():
+    cfg = GenConfig()
+    for c in range(40):
+        ts, _ = generate_taskset(cfg, c)
+        res = schedule_taskset(ts, 1 << 20)
+        if res.schedule is not None:
+            assert_writes_reference_document(res.schedule)
+        for m in (1, 2, 3, 4, 8, 16):
+            assert_writes_reference_document(gedf_np_simulate(ts, m).trace)
 
 
 def test_schedule_document_round_trip_and_sorted():
