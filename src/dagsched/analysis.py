@@ -3,33 +3,15 @@
 Computes each node's prior-plus load (its own execution time plus that of
 every ancestor, each counted once), the priority ranking derived from it,
 earliest start / latest finish windows under the implicit deadline, the
-critical path, EST clusters, and the density-based estimate of how many
-cores a DAG needs.
+critical path, and the density-based estimate of how many cores a DAG needs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import DagSpec
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A group of nodes competing for the same stretch of the period.
-
-    density is the exact ratio of the members' total work to the wall-clock
-    window available to them (max LFT minus min EST over the members).
-    """
-
-    members: frozenset[int]
-    is_cp: bool
-    density: Fraction
-    est_min: int
-    lft_max: int
 
 
 @dataclass(frozen=True)
@@ -38,10 +20,9 @@ class DagAnalysis:
 
     prior_plus, est, lft and rank_pos map each node id to its prior-plus
     load, earliest start, latest finish and position in rank_order (0 =
-    highest priority).  clusters and min_cores are only populated when the
-    DAG is feasible (critical path fits in the deadline); an infeasible DAG
-    cannot be scheduled on any number of cores, so no core estimate exists
-    for it.
+    highest priority).  min_cores is only set when the DAG is feasible
+    (critical path fits in the deadline); an infeasible DAG cannot be
+    scheduled on any number of cores, so no core estimate exists for it.
     """
 
     prior_plus: dict[int, int]
@@ -50,7 +31,6 @@ class DagAnalysis:
     rank_pos: dict[int, int]
     rank_order: tuple[int, ...]
     cp_nodes: tuple[int, ...]
-    clusters: tuple[Cluster, ...]
     min_cores: int | None
     feasible: bool
 
@@ -58,24 +38,30 @@ class DagAnalysis:
 def prior_plus(dag: DagSpec) -> dict[int, int]:
     """Each node's wcet plus the wcets of all its ancestors, counted once.
 
-    Ancestor sets are carried as bitmasks over node positions so shared
-    ancestors of different parents are not double counted.
+    Ancestor sets are bitmasks over topological positions, so shared
+    ancestors of different parents are not double counted.  Plane b holds
+    the positions whose wcet has bit b set; an ancestor set's total wcet is
+    then the sum over b of popcount(mask & plane b) << b.
     """
-    idx = {n.node_id: i for i, n in enumerate(dag.nodes)}
-    wcet_by_idx = [n.wcet for n in dag.nodes]
-    ancestors: dict[int, int] = {}
+    nodes = [dag.node(nid) for nid in dag.topo_order]
+    planes = [0] * max((n.wcet for n in nodes), default=0).bit_length()
+    for i, node in enumerate(nodes):
+        bit, w = 1 << i, node.wcet
+        for b in range(w.bit_length()):
+            if w >> b & 1:
+                planes[b] |= bit
+    reach: dict[int, int] = {}  # node id -> mask of itself and its ancestors
     result: dict[int, int] = {}
-    for nid in dag.topo_order:
+    for i, node in enumerate(nodes):
         mask = 0
-        for p in dag.node(nid).parents:
-            mask |= ancestors[p] | (1 << idx[p])
-        ancestors[nid] = mask
-        load = dag.node(nid).wcet
-        while mask:
-            low = mask & -mask
-            load += wcet_by_idx[low.bit_length() - 1]
-            mask ^= low
-        result[nid] = load
+        for p in node.parents:
+            mask |= reach[p]
+        load = node.wcet
+        if mask:
+            for b, plane in enumerate(planes):
+                load += (mask & plane).bit_count() << b
+        reach[node.node_id] = mask | 1 << i
+        result[node.node_id] = load
     return result
 
 
@@ -89,15 +75,9 @@ def rank(dag: DagSpec, pp: Mapping[int, int]) -> list[int]:
     return sorted(pp, key=lambda nid: (-pp[nid], dag.node(nid).wcet, nid))
 
 
-def est_lft(dag: DagSpec) -> dict[int, tuple[int, int]]:
-    """Earliest start and latest finish of every node within one period.
-
-    Forward pass: a node may start once its slowest parent chain is done.
-    Backward pass: it must finish early enough for its slowest child chain
-    to still meet the deadline.
-    """
-    order = dag.topo_order
-    nodes = [dag.node(nid) for nid in order]
+def _windows(dag: DagSpec) -> tuple[dict[int, int], dict[int, int]]:
+    """Earliest start and latest finish of every node, as two dicts."""
+    nodes = [dag.node(nid) for nid in dag.topo_order]
     est: dict[int, int] = {}
     eft: dict[int, int] = {}  # earliest finish: est + wcet
     for node in nodes:
@@ -116,7 +96,40 @@ def est_lft(dag: DagSpec) -> dict[int, tuple[int, int]]:
                 finish = lst[c]
         lft[node.node_id] = finish
         lst[node.node_id] = finish - node.wcet
-    return {nid: (est[nid], lft[nid]) for nid in order}
+    return est, lft
+
+
+def est_lft(dag: DagSpec) -> dict[int, tuple[int, int]]:
+    """Earliest start and latest finish of every node within one period.
+
+    Forward pass: a node may start once its slowest parent chain is done.
+    Backward pass: it must finish early enough for its slowest child chain
+    to still meet the deadline.
+    """
+    est, lft = _windows(dag)
+    return {nid: (est[nid], lft[nid]) for nid in dag.topo_order}
+
+
+def _heaviest_path(dag: DagSpec, lft: Mapping[int, int]) -> list[int]:
+    """The lexicographically smallest path of weight dag.cp_length.
+
+    A node's latest start is the deadline minus the heaviest path starting
+    at it.  So the path begins at a node whose latest start is
+    deadline - cp_length (an entry: a parent would start a heavier path)
+    and goes on through a child whose latest start is the current node's
+    latest finish.  Nodes and children are sorted by id, so the first match
+    is the smallest.
+    """
+    path: list[int] = []
+    target = dag.deadline - dag.cp_length
+    candidates = dag.nodes
+    while True:
+        cur = next((n for n in candidates if lft[n.node_id] - n.wcet == target), None)
+        if cur is None:
+            return path
+        path.append(cur.node_id)
+        target = lft[cur.node_id]
+        candidates = map(dag.node, cur.children)
 
 
 def critical_path(dag: DagSpec) -> tuple[list[int], int]:
@@ -124,94 +137,49 @@ def critical_path(dag: DagSpec) -> tuple[list[int], int]:
 
     Ties break toward the lexicographically smallest node-id sequence.
     """
-    if not dag.nodes:
-        return [], 0
-    order = dag.topo_order
-    # Heaviest path starting at each node.
-    tail: dict[int, int] = {}
-    for nid in reversed(order):
-        node = dag.node(nid)
-        tail[nid] = node.wcet + max((tail[c] for c in node.children), default=0)
-    total = max(tail[nid] for nid in dag.entry_ids)
-    path = [min(nid for nid in dag.entry_ids if tail[nid] == total)]
-    while dag.node(path[-1]).children:
-        cur = path[-1]
-        want = tail[cur] - dag.node(cur).wcet
-        path.append(min(c for c in dag.node(cur).children if tail[c] == want))
-    return path, total
+    return _heaviest_path(dag, _windows(dag)[1]), dag.cp_length
 
 
-def clusters(
-    dag: DagSpec,
-    levels: Mapping[int, tuple[int, int]],
-    cp_nodes: Sequence[int],
-) -> list[Cluster]:
-    """Partition the nodes: the critical path apart, the rest by equal EST.
+def _min_cores(
+    dag: DagSpec, est: Mapping[int, int], lft: Mapping[int, int], cp_nodes: Sequence[int]
+) -> int:
+    """Starting core allocation for one feasible DAG.
 
-    levels maps node id -> (est, lft) as computed by est_lft.  Raises
-    ValueError when a cluster's window is not positive, which can only
-    happen for an infeasible DAG.
+    The critical path is one group and the other nodes are grouped by equal
+    EST.  Each group needs ceil(work / window) cores, its window running
+    from its smallest EST to its largest LFT.  The critical path runs from
+    an entry (EST 0) to an exit (LFT = deadline) and its work, cp_length,
+    fits in the deadline, so it needs one core.  This is only an estimate;
+    the scheduler adds cores beyond it when the placement needs them and
+    compaction reclaims any excess.
     """
-    if not dag.nodes:
-        return []
-
-    def make(members: frozenset[int], is_cp: bool) -> Cluster:
-        est_min = min(levels[m][0] for m in members)
-        lft_max = max(levels[m][1] for m in members)
-        window = lft_max - est_min
-        if window <= 0:
-            raise ValueError(
-                f"dag {dag.dag_id}: cluster {sorted(members)} has non-positive "
-                f"window {window}; the DAG cannot meet its deadline"
-            )
-        work = sum(dag.node(m).wcet for m in members)
-        return Cluster(
-            members=members,
-            is_cp=is_cp,
-            density=Fraction(work, window),
-            est_min=est_min,
-            lft_max=lft_max,
-        )
-
-    out = [make(frozenset(cp_nodes), True)]
-    rest = [nid for nid in dag.node_ids if nid not in out[0].members]
-    by_est: dict[int, list[int]] = {}
-    for nid in rest:
-        by_est.setdefault(levels[nid][0], []).append(nid)
-    for est in sorted(by_est):
-        out.append(make(frozenset(by_est[est]), False))
-    return out
-
-
-def estimate_min_cores(cluster_list: Sequence[Cluster]) -> int:
-    """Starting core allocation for one DAG: sum of per-cluster density ceilings.
-
-    This is only an estimate; the scheduler adds cores beyond it when the
-    placement needs them and compaction reclaims any excess.
-    """
-    return max(1, sum(math.ceil(c.density) for c in cluster_list))
+    on_cp = set(cp_nodes)
+    work: dict[int, int] = {}
+    end: dict[int, int] = {}
+    for node in dag.nodes:
+        nid = node.node_id
+        if nid not in on_cp:
+            e, f = est[nid], lft[nid]
+            work[e] = work.get(e, 0) + node.wcet
+            if f > end.get(e, e):
+                end[e] = f
+    return 1 + sum(-(-w // (end[e] - e)) for e, w in work.items())
 
 
 def analyze_dag(dag: DagSpec) -> DagAnalysis:
     """Run the full per-DAG analysis pipeline."""
     pp = prior_plus(dag)
     order = rank(dag, pp)
-    levels = est_lft(dag)
-    cp_nodes, _ = critical_path(dag)
+    est, lft = _windows(dag)
+    cp_nodes = _heaviest_path(dag, lft)
     feasible = dag.cp_length <= dag.deadline
-    cluster_list: tuple[Cluster, ...] = ()
-    min_cores = None
-    if feasible and dag.nodes:
-        cluster_list = tuple(clusters(dag, levels, cp_nodes))
-        min_cores = estimate_min_cores(cluster_list)
     return DagAnalysis(
         prior_plus=pp,
-        est={nid: e for nid, (e, _) in levels.items()},
-        lft={nid: f for nid, (_, f) in levels.items()},
+        est=est,
+        lft=lft,
         rank_pos={nid: i for i, nid in enumerate(order)},
         rank_order=tuple(order),
         cp_nodes=tuple(cp_nodes),
-        clusters=cluster_list,
-        min_cores=min_cores,
+        min_cores=_min_cores(dag, est, lft, cp_nodes) if feasible and dag.nodes else None,
         feasible=feasible,
     )

@@ -56,9 +56,12 @@ def hyperperiod(periods: Iterable[int]) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class TaskNode:
-    """One non-preemptable vertex of a DAG."""
+class TaskNode(NamedTuple):
+    """One non-preemptable vertex of a DAG.
+
+    A named tuple: immutable, and equal to a plain tuple of the same five
+    fields in this order.
+    """
 
     dag_id: int
     node_id: int
@@ -189,38 +192,27 @@ def build_dag(
 
     # Kahn's algorithm: topological order, doubling as the cycle check.  The
     # order list is its own queue: the loop visits nodes appended behind it.
+    # By a node's turn every parent has pushed its finish into the node's
+    # earliest start, so the same loop finds the longest path.
     indeg = {nid: len(parents[nid]) for nid in ids}
+    start = dict.fromkeys(ids, 0)
     order = [nid for nid in ids if not indeg[nid]]
+    cp_length = 0
     for nid in order:
+        finish = start[nid] + wcets[nid]
+        if finish > cp_length:
+            cp_length = finish
         for c in kids[nid]:
+            if finish > start[c]:
+                start[c] = finish
             indeg[c] -= 1
             if not indeg[c]:
                 order.append(c)
     if len(order) < len(ids):
         _find_cycle(dag_id, set(ids) - set(order), parents)
 
-    # Longest path ending at each node, in topological order.
-    head: dict[int, int] = {}
-    cp_length = 0
-    for nid in order:
-        best = 0
-        for p in parents[nid]:
-            if head[p] > best:
-                best = head[p]
-        best += wcets[nid]
-        head[nid] = best
-        if best > cp_length:
-            cp_length = best
-
     nodes = tuple(
-        TaskNode(
-            dag_id=dag_id,
-            node_id=nid,
-            wcet=wcets[nid],
-            parents=tuple(sorted(parents[nid])),
-            children=kids[nid],
-        )
-        for nid in ids
+        TaskNode(dag_id, nid, wcets[nid], tuple(sorted(parents[nid])), kids[nid]) for nid in ids
     )
     return DagSpec(
         dag_id=dag_id,

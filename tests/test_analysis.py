@@ -1,23 +1,19 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagsched.analysis import (
-    analyze_dag,
-    clusters,
-    critical_path,
-    est_lft,
-    estimate_min_cores,
-    prior_plus,
-    rank,
-)
+from dagsched.analysis import DagAnalysis, analyze_dag, critical_path, est_lft, prior_plus, rank
+from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import build_dag
 
+import reference_analysis as ref
+from reference_analysis import clusters, estimate_min_cores
 from helpers import (
     brute_critical_path,
     brute_est,
@@ -139,7 +135,7 @@ def test_analyze_dag_bundles_and_infeasible_flag(diamond):
     bad = build_dag(1, 8, {1: 4, 2: 5}, [(1, 2)])
     analysis = analyze_dag(bad)
     assert not analysis.feasible
-    assert analysis.min_cores is None and analysis.clusters == ()
+    assert analysis.min_cores is None and ref.reference_analysis(bad)["clusters"] == ()
 
 
 def test_oracle_equivalence_on_random_dags():
@@ -187,3 +183,78 @@ def test_structural_invariants(dag):
         work = sum(dag.node(m).wcet for m in c.members)
         assert c.density == Fraction(work, c.lft_max - c.est_min)
     assert estimate_min_cores(cluster_list) >= 1
+
+
+# --- equality with the reference analysis -------------------------------------
+
+
+def assert_matches_reference(dag):
+    want = ref.reference_analysis(dag)
+    del want["clusters"]  # only min_cores is kept from them
+    got = analyze_dag(dag)
+    assert {f.name: getattr(got, f.name) for f in fields(DagAnalysis)} == want
+    assert prior_plus(dag) == want["prior_plus"]
+    assert est_lft(dag) == ref.est_lft(dag)
+    assert critical_path(dag) == ref.critical_path(dag)
+
+
+# The replay benchmark's generator: five DAGs of 30-60 nodes per set.
+REPLAY_CONFIG = dict(
+    collections=128, dags_per_collection=5, edge_prob=0.15,
+    nodes_per_dag=(30, 60), period_menu=(100, 200),
+)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [GenConfig(seed=1, **REPLAY_CONFIG), GenConfig(seed=1009, **REPLAY_CONFIG), GenConfig()],
+    ids=["replay-seed-1", "replay-seed-1009", "default-200-collections"],
+)
+def test_analysis_matches_reference_on_generated_sets(cfg):
+    for c in range(cfg.collections):
+        ts, _ = generate_taskset(cfg, c)
+        for dag in ts.dags:
+            assert_matches_reference(dag)
+
+
+@st.composite
+def any_dags(draw, max_wcet: int = 9):
+    """DAGs of 0-8 nodes, node ids in any topological order, any period.
+
+    Periods below the critical path make infeasible DAGs.
+    """
+    n = draw(st.integers(0, 8))
+    label = draw(st.permutations(range(1, n + 1)))
+    wcets = {label[i]: draw(st.integers(1, max_wcet)) for i in range(n)}
+    edges = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    period = draw(st.integers(1, sum(wcets.values()) + 10))
+    return build_dag(1, period, wcets, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_dags())
+def test_analysis_matches_reference_on_any_dag(dag):
+    assert_matches_reference(dag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_dags(max_wcet=2**62))
+def test_analysis_matches_reference_on_wide_wcets(dag):
+    # up to 63 bit planes in prior_plus
+    assert_matches_reference(dag)
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        build_dag(1, 5, {}),
+        single_node_dag(period=5, wcet=2),
+        single_node_dag(period=2, wcet=5),  # infeasible
+        build_dag(1, 8, {1: 4, 2: 5}, [(1, 2)]),  # infeasible chain
+        build_dag(1, 8, {1: 1, 2: 9, 3: 1}, [(1, 2), (3, 2)]),  # negative LFT
+        build_dag(1, 2**63, {1: 2**62, 2: 2**62 - 1, 3: 3}, [(1, 3), (2, 3)]),
+    ],
+    ids=["empty", "single", "single-infeasible", "chain-infeasible", "negative-lft", "wide"],
+)
+def test_analysis_matches_reference_on_edge_cases(dag):
+    assert_matches_reference(dag)

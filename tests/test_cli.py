@@ -19,6 +19,7 @@ from dagsched.model import (
 from dagsched.scheduler import schedule_taskset
 
 from helpers import allocation_limit, diamond_dag, single_node_dag
+from reference_analysis import reference_analysis
 
 
 def write_diamond(tmp_path):
@@ -274,6 +275,61 @@ def test_analyze_handles_infeasible_dag(tmp_path, capsys):
     assert dag["feasible"] is False
     assert dag["min_cores"] is None
     assert dag["cp_length"] == 9
+
+
+def reference_analyze_doc(ts: TaskSet) -> dict:
+    """The analyze document of ts, built from the reference analysis."""
+    dags = []
+    for dag in ts.dags:
+        a = reference_analysis(dag)
+        dags.append({
+            "id": dag.dag_id,
+            "period": dag.period,
+            "total_work": dag.total_work,
+            "cp_length": dag.cp_length,
+            "critical_path": list(a["cp_nodes"]),
+            "feasible": a["feasible"],
+            "min_cores": a["min_cores"],
+            "rank_order": list(a["rank_order"]),
+            "nodes": [
+                {
+                    "id": nid,
+                    "wcet": dag.node(nid).wcet,
+                    "prior_plus": a["prior_plus"][nid],
+                    "est": a["est"][nid],
+                    "lft": a["lft"][nid],
+                    "rank": a["rank_pos"][nid],
+                }
+                for nid in sorted(dag.node_ids)
+            ],
+        })
+    return {"dags": dags}
+
+
+INFEASIBLE_SET = {"dags": [
+    {"id": 1, "period": 8, "nodes": [{"id": 1, "wcet": 1}, {"id": 2, "wcet": 3},
+                                     {"id": 3, "wcet": 2}, {"id": 4, "wcet": 1}],
+     "edges": [[1, 2], [1, 3], [2, 4], [3, 4]]},
+    {"id": 2, "period": 8, "nodes": [{"id": 3, "wcet": 4}, {"id": 1, "wcet": 5}, {"id": 2, "wcet": 1}],
+     "edges": [[3, 1], [2, 1]]},
+]}
+
+
+@pytest.mark.parametrize("which", ["replay-shaped", "infeasible"])
+def test_analyze_output_is_the_reference_document(tmp_path, capsys, which):
+    if which == "replay-shaped":
+        cfg = bench.GenConfig(collections=1, dags_per_collection=5, edge_prob=0.15,
+                              nodes_per_dag=(30, 60), period_menu=(100, 200), seed=1)
+        text = dumps_taskset(bench.generate_taskset(cfg, 0)[0])
+    else:
+        text = json.dumps(INFEASIBLE_SET)
+    path = tmp_path / "ts.json"
+    path.write_text(text)
+    assert run_cli(["analyze", "--in", str(path)]) == 0
+    want = reference_analyze_doc(load_taskset(text))
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+    if which == "infeasible":
+        assert [d["feasible"] for d in want["dags"]] == [True, False]
 
 
 def test_schedule_infeasible_names_the_dag(tmp_path, capsys):

@@ -13,6 +13,7 @@ from dagsched.model import (
     JOB_BUDGET,
     ScheduleEntry,
     ScheduleMap,
+    TaskNode,
     TaskSet,
     TaskSetError,
     TickOverflowError,
@@ -121,6 +122,20 @@ def test_parents_children_mutually_consistent():
             assert node.node_id in dag.node(c).parents
         for p in node.parents:
             assert node.node_id in dag.node(p).children
+
+
+def test_task_node_is_an_immutable_tuple():
+    dag = diamond_dag()
+    node = dag.node(2)
+    assert node == TaskNode(1, 2, 3, (1,), (4,)) == (1, 2, 3, (1,), (4,))
+    assert (node.dag_id, node.node_id, node.wcet, node.parents, node.children) == tuple(node)
+    with pytest.raises(AttributeError):
+        node.wcet = 9
+    # DagSpec equality still compares its nodes field by field
+    assert dag == diamond_dag() and hash(dag) == hash(diamond_dag())
+    assert dag != diamond_dag(period=9)
+    assert dag != build_dag(1, 8, {1: 1, 2: 3, 3: 2, 4: 2}, [(1, 2), (1, 3), (2, 4), (3, 4)])
+    assert dag != build_dag(1, 8, {1: 1, 2: 3, 3: 2, 4: 1}, [(1, 2), (1, 3), (2, 4)])
 
 
 def test_self_loop_is_a_cycle():
