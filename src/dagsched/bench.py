@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .baseline import gedf_np_simulate
 from .model import (
@@ -304,38 +304,7 @@ def run_experiment(cfg: GenConfig, core_counts: list[int]) -> ExperimentReport:
 
 
 def report_doc(report: ExperimentReport) -> dict:
-    return {
-        "note": UTILIZATION_DEFINITION,
-        "config": report.config.to_doc(),
-        "core_counts": list(report.core_counts),
-        "regenerated": report.regenerated,
-        "summary": [
-            {
-                "m": s.m,
-                "collections": s.collections,
-                "proposed_successes": s.proposed_successes,
-                "baseline_successes": s.baseline_successes,
-                "proposed_success_rate": s.proposed_success_rate,
-                "baseline_success_rate": s.baseline_success_rate,
-                "proposed_utilization": s.proposed_utilization,
-                "baseline_utilization": s.baseline_utilization,
-            }
-            for s in report.summary
-        ],
-        "rows": [
-            {
-                "collection": r.collection,
-                "m": r.m,
-                "algorithm": r.algorithm,
-                "success": r.success,
-                "cores_used": r.cores_used,
-                "utilization": r.utilization,
-                "hyperperiod": r.hyperperiod,
-                "seed": r.seed,
-            }
-            for r in report.rows
-        ],
-    }
+    return {"note": UTILIZATION_DEFINITION, **asdict(report)}
 
 
 def dumps_report(report: ExperimentReport) -> str:

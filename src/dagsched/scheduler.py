@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
+# prior_plus is unused here, but perfbench/tracer.py binds scheduler.prior_plus.
 from .analysis import DagAnalysis, analyze_dag, prior_plus
 from .model import DagSpec, ScheduleEntry, ScheduleMap, TaskSet
 
@@ -35,16 +36,21 @@ class DagInfeasibleError(Exception):
 
 
 class Placement:
-    """One placed job execution; mutable while the schedule is being shaped."""
+    """One placed job execution; mutable while the schedule is being shaped.
 
-    __slots__ = ("dag_id", "node_id", "job", "start", "finish")
+    rank is the job's effective prior-plus load, the node's prior-plus plus
+    job times the DAG's total work: compaction moves lower ranks first.
+    """
 
-    def __init__(self, dag_id: int, node_id: int, job: int, start: int, finish: int):
+    __slots__ = ("dag_id", "node_id", "job", "start", "finish", "rank")
+
+    def __init__(self, dag_id: int, node_id: int, job: int, start: int, finish: int, rank: int):
         self.dag_id = dag_id
         self.node_id = node_id
         self.job = job
         self.start = start
         self.finish = finish
+        self.rank = rank
 
     def __repr__(self):
         return (
@@ -98,13 +104,14 @@ def primary_schedule(
     when no existing core leaves room above the node's earliest start; if even
     a fresh core cannot, the DAG is infeasible outright.
 
-    Returns one list of placements per core used (job index 0).
+    Returns one list of placements per core used (job index 0), each ranked
+    by its node's prior-plus load from the analysis.
     """
     if not dag.nodes:
         return []
     if analysis is None:
         analysis = analyze_dag(dag)
-    lft, est, rank_pos = analysis.lft, analysis.est, analysis.rank_pos
+    lft, est, rank_pos, prior = analysis.lft, analysis.est, analysis.rank_pos, analysis.prior_plus
 
     cores = analysis.min_cores or 1
     lanes: list[list[Placement]] = [[] for _ in range(cores)]
@@ -137,7 +144,7 @@ def primary_schedule(
             best_core, best_alpha = len(lanes) - 1, latest
 
         start = best_alpha - node.wcet
-        lanes[best_core].insert(0, Placement(dag.dag_id, nid, 0, start, best_alpha))
+        lanes[best_core].insert(0, Placement(dag.dag_id, nid, 0, start, best_alpha, prior[nid]))
         free_until[best_core] = start
         pinned_finish[nid] = best_alpha
         if trace is not None:
@@ -159,11 +166,10 @@ class _Linked(Placement):
     ups and downs are the same job's parent and child entries, so the
     earliest legal start and the latest legal finish are read off the
     current placements directly.  release and deadline bound the job's
-    period window; rank is the effective prior-plus load (the node's
-    prior-plus plus job times the DAG's total work).
+    period window.
     """
 
-    __slots__ = ("ups", "downs", "release", "deadline", "rank")
+    __slots__ = ("ups", "downs", "release", "deadline")
 
     def earliest(self) -> int:
         d = self.release
@@ -202,19 +208,15 @@ class _Compactor:
         self.horizon = ts.hyperperiod
         self.min_wcet = min((n.wcet for d in ts.dags for n in d.nodes), default=1)
         self.lanes = [
-            [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish) for p in lane]
+            [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish, p.rank) for p in lane]
             for lane in cores
         ]
         entry = {(p.dag_id, p.node_id, p.job): p for lane in self.lanes for p in lane}
-        prior: dict[int, dict[int, int]] = {}
         for (dag_id, node_id, job), p in entry.items():
             dag = ts.dag(dag_id)
-            if dag_id not in prior:
-                prior[dag_id] = prior_plus(dag)
             node = dag.node(node_id)
             p.release = job * dag.period
             p.deadline = p.release + dag.period
-            p.rank = prior[dag_id][node_id] + job * dag.total_work
             p.ups = [entry[(dag_id, q, job)] for q in node.parents]
             p.downs = [entry[(dag_id, c, job)] for c in node.children]
         self._index()
@@ -436,20 +438,23 @@ def extend(
     """Repeat a one-period schedule across the hyperperiod.
 
     Copy k carries job index k with all starts and finishes shifted by
-    k periods; the core layout is unchanged.  Each input lane must be
-    sorted by start with every entry inside [0, period), as compact leaves
-    a one-period schedule; then copy k lies in [k*period, (k+1)*period),
-    so the job-major concatenation is already sorted by start.
+    k periods and its rank by k times the DAG's total work; the core
+    layout is unchanged.  Each input lane must be sorted by start with
+    every entry inside [0, period), as compact leaves a one-period
+    schedule; then copy k lies in [k*period, (k+1)*period), so the
+    job-major concatenation is already sorted by start.
     """
     if horizon % dag.period != 0:
         raise ValueError(
             f"hyperperiod {horizon} is not a multiple of dag {dag.dag_id}'s period {dag.period}"
         )
     copies = horizon // dag.period
+    period, work = dag.period, dag.total_work
     out: list[list[Placement]] = []
     for lane in cores:
         extended = [
-            Placement(p.dag_id, p.node_id, k, p.start + k * dag.period, p.finish + k * dag.period)
+            Placement(p.dag_id, p.node_id, k, p.start + k * period, p.finish + k * period,
+                      p.rank + k * work)
             for k in range(copies)
             for p in lane
         ]

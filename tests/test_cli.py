@@ -377,6 +377,11 @@ DOCUMENTS = {  # "missing" names a file that is never written
     "json_array": "[]",
     "no_dags": json.dumps({"dags": []}),
     "dag_without_nodes": json.dumps({"dags": [{"id": 1, "period": 5, "nodes": []}]}),
+    # the node-less DAG releases 1000001 times per hyperperiod, over JOB_BUDGET
+    "empty_dag_releases": json.dumps({"dags": [
+        {"id": 1, "period": 1, "nodes": []},
+        {"id": 2, "period": 1000001, "nodes": [{"id": 1, "wcet": 1}]},
+    ]}),
     "diamond": dumps_taskset(TaskSet.build([diamond_dag()])),
     "empty_schedule": json.dumps({"num_cores": 0, "entries": []}),
     "foreign_schedule": json.dumps({"num_cores": 1, "entries": [
@@ -389,6 +394,7 @@ EXIT_MATRIX = [  # (task set, schedule, exit status per command)
       for bad in ("invalid_json", "json_array", "missing")],
     ("no_dags", "empty_schedule", dict.fromkeys(COMMANDS, 0)),
     ("dag_without_nodes", "empty_schedule", dict.fromkeys(COMMANDS, 0)),
+    ("empty_dag_releases", "empty_schedule", dict.fromkeys(COMMANDS, 2)),
     *[("diamond", bad, {"validate": 2, "render": 2})
       for bad in ("invalid_json", "json_array", "missing")],
     ("diamond", "foreign_schedule", {"validate": 1, "render": 2}),

@@ -395,6 +395,23 @@ def test_job_budget_is_inclusive():
         load_taskset(two_dags(JOB_BUDGET))
 
 
+def test_job_budget_counts_releases_of_a_dag_without_nodes():
+    # the validator and the renderer walk every release of a node-less DAG,
+    # so each of its periods counts as one release
+    def with_empty_dag(p):
+        return doc([
+            {"id": 1, "period": 1, "nodes": []},
+            {"id": 2, "period": p, "nodes": [{"id": 1, "wcet": 1}]},
+        ])
+
+    assert load_taskset(with_empty_dag(JOB_BUDGET - 1)).hyperperiod == JOB_BUDGET - 1
+    with allocation_limit(), pytest.raises(
+        TaskSetError, match=r"expands to 1000001 job releases, over the budget of 1000000 "
+                            r"\(dag 1: 1000000, dag 2: 1\)"
+    ):
+        load_taskset(with_empty_dag(JOB_BUDGET))
+
+
 def test_schedule_core_count_is_bounded_before_allocating():
     # a schedule map holds one lane slot per core, so the count is checked first
     text = json.dumps({"num_cores": JOB_BUDGET + 1, "entries": []})

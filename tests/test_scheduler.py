@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dagsched.analysis import analyze_dag
+from dagsched import analysis, scheduler
+from dagsched.analysis import analyze_dag, prior_plus
 from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import TaskSet, build_dag, dumps_schedule, validate_schedule
 from dagsched.scheduler import (
@@ -31,6 +32,14 @@ from helpers import (
 
 def by_node(lanes):
     return lanes_layout(lanes)
+
+
+def assert_ranked(lanes, ts: TaskSet) -> None:
+    # a placement's rank is its node's prior-plus plus job times total work
+    for lane in lanes:
+        for p in lane:
+            dag = ts.dag(p.dag_id)
+            assert p.rank == prior_plus(dag)[p.node_id] + p.job * dag.total_work, p
 
 
 DIAMOND_PRIMARY = [
@@ -63,9 +72,10 @@ def test_primary_chain(chain):
     assert by_node(lanes) == [[(1, 1, 0, 6, 8), (1, 2, 0, 8, 10)]]
 
 
-def test_primary_diamond_two_cores(diamond):
+def test_primary_diamond_two_cores(diamond, diamond_ts):
     lanes = primary_schedule(diamond)
     assert by_node(lanes) == DIAMOND_PRIMARY
+    assert_ranked(lanes, diamond_ts)
 
 
 def test_primary_empty_dag():
@@ -85,6 +95,7 @@ def test_primary_precedence_by_construction():
     for _ in range(40):
         dag = random_dag(rng, max_nodes=10)
         lanes = primary_schedule(dag)
+        assert_ranked(lanes, TaskSet.build([dag]))
         pos = {p.node_id: p for lane in lanes for p in lane}
         assert sorted(pos) == sorted(dag.node_ids)
         for node in dag.nodes:
@@ -175,6 +186,7 @@ def test_extend_shifts_copies():
     lanes = primary_schedule(dag)
     got = extend(lanes, dag, 15)
     assert by_node(got) == [[(1, 1, 0, 3, 5), (1, 1, 1, 8, 10), (1, 1, 2, 13, 15)]]
+    assert_ranked(got, TaskSet.build([dag]))
 
 
 def test_extend_single_copy_when_period_equals_horizon():
@@ -267,6 +279,7 @@ def test_stacked_blocks_cover_each_dag_once():
         ]
     )
     lanes = stack_extended_schedules(ts)
+    assert_ranked(lanes, ts)
     counts: dict[tuple[int, int, int], int] = {}
     for lane in lanes:
         for p in lane:
@@ -296,6 +309,27 @@ def test_extension_count_invariant():
         for dag in ts.dags:
             expected = len(dag.nodes) * (ts.hyperperiod // dag.period)
             assert per_dag.get(dag.dag_id, 0) == expected
+
+
+def test_one_prior_plus_per_dag(monkeypatch):
+    # each DAG's prior-plus comes from its one analysis; compaction reads
+    # the ranks its placements carry and computes none of its own
+    ts, _ = generate_taskset(GenConfig(seed=1), 0)
+    ts = TaskSet.build([*ts.dags, build_dag(len(ts.dags) + 1, 10, {})])
+    calls: list[int] = []
+    real = analysis.prior_plus
+
+    def counted(dag):
+        calls.append(dag.dag_id)
+        return real(dag)
+
+    def forbidden(dag):
+        raise AssertionError(f"scheduler.prior_plus called on dag {dag.dag_id}")
+
+    monkeypatch.setattr(analysis, "prior_plus", counted)
+    monkeypatch.setattr(scheduler, "prior_plus", forbidden)
+    assert schedule_taskset(ts, 1 << 20).success
+    assert sorted(calls) == [d.dag_id for d in ts.dags if d.nodes]
 
 
 def test_zero_node_dag_contributes_nothing():
