@@ -76,7 +76,11 @@ def rank(dag: DagSpec, pp: Mapping[int, int]) -> list[int]:
 
 
 def _windows(dag: DagSpec) -> tuple[dict[int, int], dict[int, int]]:
-    """Earliest start and latest finish of every node, as two dicts."""
+    """Earliest start and latest finish of every node, as two dicts.
+
+    A node starts once its slowest parent chain is done and finishes early
+    enough for its slowest child chain to meet the deadline.
+    """
     nodes = [dag.node(nid) for nid in dag.topo_order]
     est: dict[int, int] = {}
     eft: dict[int, int] = {}  # earliest finish: est + wcet
@@ -99,17 +103,6 @@ def _windows(dag: DagSpec) -> tuple[dict[int, int], dict[int, int]]:
     return est, lft
 
 
-def est_lft(dag: DagSpec) -> dict[int, tuple[int, int]]:
-    """Earliest start and latest finish of every node within one period.
-
-    Forward pass: a node may start once its slowest parent chain is done.
-    Backward pass: it must finish early enough for its slowest child chain
-    to still meet the deadline.
-    """
-    est, lft = _windows(dag)
-    return {nid: (est[nid], lft[nid]) for nid in dag.topo_order}
-
-
 def _heaviest_path(dag: DagSpec, lft: Mapping[int, int]) -> list[int]:
     """The lexicographically smallest path of weight dag.cp_length.
 
@@ -130,14 +123,6 @@ def _heaviest_path(dag: DagSpec, lft: Mapping[int, int]) -> list[int]:
         path.append(cur.node_id)
         target = lft[cur.node_id]
         candidates = map(dag.node, cur.children)
-
-
-def critical_path(dag: DagSpec) -> tuple[list[int], int]:
-    """A maximum-weight directed path and its weight.
-
-    Ties break toward the lexicographically smallest node-id sequence.
-    """
-    return _heaviest_path(dag, _windows(dag)[1]), dag.cp_length
 
 
 def _min_cores(

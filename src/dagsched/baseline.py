@@ -54,7 +54,7 @@ def gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
         if not dag.nodes:
             continue
         nodes = {n.node_id: (n.wcet, n.children) for n in dag.nodes}
-        entry_ids = tuple(n.node_id for n in dag.nodes if not n.parents)
+        entry_ids = dag.entry_ids
         counts = {n.node_id: len(n.parents) for n in dag.nodes if n.parents}
         period = dag.period
         for k in range(ts.hyperperiod // period):

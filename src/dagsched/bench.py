@@ -24,6 +24,7 @@ from .model import (
     ScheduleMap,
     TaskSet,
     TaskSetError,
+    _as_int,
     build_dag,
     validate_schedule,
 )
@@ -99,7 +100,7 @@ class GenConfig:
         kwargs = {}
         for name in ("collections", "dags_per_collection", "seed"):
             if name in doc:
-                kwargs[name] = _config_int(doc[name], name)
+                kwargs[name] = _as_int(doc[name], "config field %s:", name)
         if "edge_prob" in doc:
             value = doc["edge_prob"]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -112,16 +113,8 @@ class GenConfig:
                 if not isinstance(value, list) or (pair and len(value) != 2):
                     shape = "a list of two integers" if pair else "a list"
                     raise ValueError(f"config field {name}: must be {shape}, got {value!r}")
-                kwargs[name] = tuple(_config_int(x, name) for x in value)
+                kwargs[name] = tuple(_as_int(x, "config field %s:", name) for x in value)
         return cls(**kwargs)
-
-
-def _config_int(value, what: str) -> int:
-    # As strict as the task-set loader: no truncated floats, digit strings
-    # or booleans.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"config field {what}: must be an integer, got {value!r}")
-    return value
 
 
 def stream(seed: int, *parts) -> random.Random:

@@ -103,10 +103,6 @@ class DagSpec:
         return tuple(n.node_id for n in self.nodes if not n.parents)
 
     @property
-    def exit_ids(self) -> tuple[int, ...]:
-        return tuple(n.node_id for n in self.nodes if not n.children)
-
-    @property
     def utilization(self) -> Fraction:
         return Fraction(self.total_work, self.period)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Sequence
 
 # prior_plus is unused here, but perfbench/tracer.py binds scheduler.prior_plus.
 from .analysis import DagAnalysis, analyze_dag, prior_plus
@@ -76,20 +76,6 @@ class ScheduleResult:
     infeasible: tuple[int, int] | None = None
 
 
-def dynamic_lft(dag: DagSpec, lft: Mapping[int, int], node_id: int,
-                finish_of: Mapping[int, int]) -> int:
-    """Latest completion for a node given where its children actually sit.
-
-    Exit nodes may run right up to their latest finish; every other node
-    must complete before its earliest-starting scheduled child.  finish_of
-    maps already-placed node ids to their scheduled finish.
-    """
-    node = dag.node(node_id)
-    if not node.children:
-        return lft[node_id]
-    return min(finish_of[c] - dag.node(c).wcet for c in node.children)
-
-
 def primary_schedule(
     dag: DagSpec,
     analysis: DagAnalysis | None = None,
@@ -99,10 +85,11 @@ def primary_schedule(
 
     Nodes are taken bottom-up: the ready queue starts with the exit nodes and
     a node joins once all its children are placed.  Each node goes to the core
-    maximizing alpha = min(latest feasible finish, start of the core's
-    earliest entry), finishing exactly at alpha.  A fresh core is opened only
-    when no existing core leaves room above the node's earliest start; if even
-    a fresh core cannot, the DAG is infeasible outright.
+    maximizing alpha = min(latest finish, start of the core's earliest entry),
+    finishing exactly at alpha; a node's latest finish is its children's
+    earliest start, or the deadline for an exit node.  A fresh core is opened
+    only when no existing core leaves room above the node's earliest start;
+    if even a fresh core cannot, the DAG is infeasible outright.
 
     Returns one list of placements per core used (job index 0), each ranked
     by its node's prior-plus load from the analysis.
@@ -111,13 +98,13 @@ def primary_schedule(
         return []
     if analysis is None:
         analysis = analyze_dag(dag)
-    lft, est, rank_pos, prior = analysis.lft, analysis.est, analysis.rank_pos, analysis.prior_plus
+    est, rank_pos, prior = analysis.est, analysis.rank_pos, analysis.prior_plus
 
     cores = analysis.min_cores or 1
     lanes: list[list[Placement]] = [[] for _ in range(cores)]
     free_until = [dag.deadline] * cores  # start of each core's earliest entry
 
-    pinned_finish: dict[int, int] = {}
+    start_of: dict[int, int] = {}  # placed node id -> its start
     waiting = {n.node_id: len(n.children) for n in dag.nodes}
     ready: list[tuple[int, int]] = []
     for nid, count in waiting.items():
@@ -127,7 +114,7 @@ def primary_schedule(
     while ready:
         _, nid = heappop(ready)
         node = dag.node(nid)
-        latest = dynamic_lft(dag, lft, nid, pinned_finish)
+        latest = min((start_of[c] for c in node.children), default=dag.deadline)
 
         best_core = 0
         best_alpha = min(latest, free_until[0])
@@ -146,7 +133,7 @@ def primary_schedule(
         start = best_alpha - node.wcet
         lanes[best_core].insert(0, Placement(dag.dag_id, nid, 0, start, best_alpha, prior[nid]))
         free_until[best_core] = start
-        pinned_finish[nid] = best_alpha
+        start_of[nid] = start
         if trace is not None:
             trace.append(
                 f"dag {dag.dag_id} node {nid} -> core {best_core}: "
@@ -348,23 +335,21 @@ class _Compactor:
         The mirror of left-shifting: slack accumulates again at the front
         of each core, where the gap walk can reach it.  Processing in
         descending start order visits children and core successors before
-        the entries they constrain, so the result stays valid.
+        the entries they constrain, so the result stays valid.  An entry's
+        new finish is capped at its lane successor's new start and every
+        width is at least 1, so each lane keeps its order and needs no
+        re-sort.
         """
-        order = []
-        for ci, lane in enumerate(self.lanes):
-            for idx, p in enumerate(lane):
-                order.append((p.start, ci, idx, p))
-        order.sort(key=lambda t: (-t[0], -t[1], -t[2]))
-        head: list[int | None] = [None] * len(self.lanes)
-        for _, ci, _, p in order:
-            limit = p.latest()
-            if head[ci] is not None and head[ci] < limit:
+        order = [(p.start, ci, p) for ci, lane in enumerate(self.lanes) for p in lane]
+        order.sort(key=lambda t: (-t[0], -t[1]))
+        head = [self.horizon] * len(self.lanes)  # new start of each lane's successor
+        for _, ci, p in order:
+            limit = p.latest()  # at most its deadline, so within the horizon
+            if head[ci] < limit:
                 limit = head[ci]
             width = p.finish - p.start
             p.start, p.finish = limit - width, limit
             head[ci] = limit - width
-        for lane in self.lanes:
-            lane.sort(key=lambda p: p.start)
 
 
 def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Placement]]:

@@ -1,4 +1,4 @@
-"""Shared builders, brute-force oracles, and trace checkers for the tests.
+"""Shared builders, brute-force oracles, analysis readers and trace checkers.
 
 The oracles recompute analysis results by explicit enumeration (reachability
 sets, all-paths recursion without memoization) so they stay independent of
@@ -10,6 +10,7 @@ from __future__ import annotations
 import tracemalloc
 from contextlib import contextmanager
 
+from dagsched.analysis import analyze_dag
 from dagsched.model import DagSpec, ScheduleMap, TaskSet, build_dag
 
 
@@ -80,6 +81,17 @@ def brute_est(dag: DagSpec, nid: int) -> int:
 
 def brute_lft(dag: DagSpec, nid: int) -> int:
     return dag.deadline - (heaviest_starting_at(dag, nid) - dag.node(nid).wcet)
+
+
+def windows(dag: DagSpec) -> dict[int, tuple[int, int]]:
+    """Each node id -> (earliest start, latest finish), read off analyze_dag."""
+    a = analyze_dag(dag)
+    return {nid: (a.est[nid], a.lft[nid]) for nid in a.est}
+
+
+def analyzed_cp(dag: DagSpec) -> tuple[list[int], int]:
+    """The critical path analyze_dag finds, and its weight DagSpec.cp_length."""
+    return list(analyze_dag(dag).cp_nodes), dag.cp_length
 
 
 def all_maximal_paths(dag: DagSpec) -> list[list[int]]:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from dagsched.analysis import critical_path, est_lft, prior_plus, rank
+from dagsched.analysis import prior_plus, rank
 from dagsched.baseline import gedf_np_simulate
 from dagsched.bench import GenConfig, generate_taskset, run_experiment
 from dagsched.cli import run_cli
@@ -21,6 +21,7 @@ from dagsched.model import TaskSet, build_dag, dumps_taskset, validate_schedule
 from dagsched.scheduler import compact, extend, primary_schedule, schedule_taskset, stack_extended_schedules
 
 from helpers import (
+    analyzed_cp,
     brute_critical_path,
     brute_est,
     brute_lft,
@@ -31,6 +32,7 @@ from helpers import (
     entry_multiset,
     lanes_layout,
     random_dag,
+    windows,
 )
 
 SOUNDNESS_PS = (0.2, 0.6, 0.9)
@@ -87,12 +89,12 @@ def test_c2_oracle_equivalence():
     for _ in range(200):
         dag = random_dag(rng, max_nodes=12)
         pp = prior_plus(dag)
-        levels = est_lft(dag)
+        levels = windows(dag)
         for nid in dag.node_ids:
             assert pp[nid] == brute_prior_plus(dag, nid)
             assert levels[nid][0] == brute_est(dag, nid)
             assert levels[nid][1] == brute_lft(dag, nid)
-        assert critical_path(dag) == tuple(brute_critical_path(dag))
+        assert analyzed_cp(dag) == tuple(brute_critical_path(dag))
 
 
 def test_c3_worked_examples():

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagsched.analysis import DagAnalysis, analyze_dag, critical_path, est_lft, prior_plus, rank
+from dagsched.analysis import DagAnalysis, analyze_dag, prior_plus, rank
 from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import build_dag
 
 import reference_analysis as ref
 from reference_analysis import clusters, estimate_min_cores
 from helpers import (
+    analyzed_cp,
     brute_critical_path,
     brute_est,
     brute_lft,
@@ -22,6 +23,7 @@ from helpers import (
     diamond_dag,
     random_dag,
     single_node_dag,
+    windows,
 )
 
 
@@ -67,28 +69,26 @@ def test_rank_tie_breaks():
 
 
 def test_est_lft_examples(diamond, chain):
-    assert est_lft(single_node_dag(period=5, wcet=2)) == {1: (0, 5)}
-    assert est_lft(chain) == {1: (0, 8), 2: (2, 10)}
-    assert est_lft(diamond) == {1: (0, 4), 2: (1, 7), 3: (1, 7), 4: (4, 8)}
+    assert windows(single_node_dag(period=5, wcet=2)) == {1: (0, 5)}
+    assert windows(chain) == {1: (0, 8), 2: (2, 10)}
+    assert windows(diamond) == {1: (0, 4), 2: (1, 7), 3: (1, 7), 4: (4, 8)}
 
 
 def test_critical_path_examples(diamond):
-    assert critical_path(single_node_dag(wcet=2)) == ([1], 2)
-    assert critical_path(diamond) == ([1, 2, 4], 5)
+    assert analyzed_cp(single_node_dag(wcet=2)) == ([1], 2)
+    assert analyzed_cp(diamond) == ([1, 2, 4], 5)
     chain5 = build_dag(1, 100, {i: i for i in range(1, 6)}, [(i, i + 1) for i in range(1, 5)])
-    assert critical_path(chain5) == ([1, 2, 3, 4, 5], 15)
+    assert analyzed_cp(chain5) == ([1, 2, 3, 4, 5], 15)
 
 
 def test_critical_path_lex_smallest_on_tie():
     # two disjoint max-weight paths: 1->3 and 2->4, both weight 4
     dag = build_dag(1, 10, {1: 2, 2: 2, 3: 2, 4: 2}, [(1, 3), (2, 4)])
-    assert critical_path(dag) == ([1, 3], 4)
+    assert analyzed_cp(dag) == ([1, 3], 4)
 
 
 def test_clusters_diamond(diamond):
-    levels = est_lft(diamond)
-    cp_nodes, _ = critical_path(diamond)
-    got = clusters(diamond, levels, cp_nodes)
+    got = clusters(diamond, windows(diamond), analyze_dag(diamond).cp_nodes)
     assert len(got) == 2
     cp = got[0]
     assert cp.is_cp and cp.members == frozenset({1, 2, 4})
@@ -101,14 +101,14 @@ def test_clusters_diamond(diamond):
 
 def test_clusters_single_node():
     dag = single_node_dag(period=5, wcet=2)
-    got = clusters(dag, est_lft(dag), critical_path(dag)[0])
+    got = clusters(dag, windows(dag), analyze_dag(dag).cp_nodes)
     assert len(got) == 1 and got[0].is_cp and got[0].density == Fraction(2, 5)
     assert estimate_min_cores(got) == 1
 
 
 def test_clusters_two_parallel_nodes():
     dag = build_dag(1, 4, {1: 4, 2: 4})
-    got = clusters(dag, est_lft(dag), critical_path(dag)[0])
+    got = clusters(dag, windows(dag), analyze_dag(dag).cp_nodes)
     assert len(got) == 2
     assert all(c.density == Fraction(4, 4) for c in got)
     assert estimate_min_cores(got) == 2
@@ -123,7 +123,7 @@ def test_clusters_reject_infeasible_window():
     # x(1)->y(9) plus z(1)->y: z alone in its EST cluster with lft -1
     dag = build_dag(1, 8, {1: 1, 2: 9, 3: 1}, [(1, 2), (3, 2)])
     with pytest.raises(ValueError, match="window"):
-        clusters(dag, est_lft(dag), critical_path(dag)[0])
+        clusters(dag, windows(dag), analyze_dag(dag).cp_nodes)
 
 
 def test_analyze_dag_bundles_and_infeasible_flag(diamond):
@@ -143,11 +143,11 @@ def test_oracle_equivalence_on_random_dags():
     for _ in range(60):
         dag = random_dag(rng, max_nodes=10)
         pp = prior_plus(dag)
-        levels = est_lft(dag)
+        levels = windows(dag)
         for nid in dag.node_ids:
             assert pp[nid] == brute_prior_plus(dag, nid)
             assert levels[nid] == (brute_est(dag, nid), brute_lft(dag, nid))
-        assert critical_path(dag) == tuple(brute_critical_path(dag))
+        assert analyzed_cp(dag) == tuple(brute_critical_path(dag))
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,7 +155,7 @@ def test_oracle_equivalence_on_random_dags():
 def test_structural_invariants(dag):
     pp = prior_plus(dag)
     order = rank(dag, pp)
-    levels = est_lft(dag)
+    levels = windows(dag)
     pos = {nid: i for i, nid in enumerate(order)}
 
     assert sorted(order) == sorted(dag.node_ids)  # rank is a permutation
@@ -170,9 +170,8 @@ def test_structural_invariants(dag):
             assert pp[c] >= pp[node.node_id] + dag.node(c).wcet
             assert pos[c] < pos[node.node_id]
 
-    cp_nodes, cp_len = critical_path(dag)
-    assert cp_len == dag.cp_length
-    assert cp_len == max(levels[x][0] + dag.node(x).wcet for x in dag.exit_ids)
+    cp_nodes, cp_len = analyzed_cp(dag)
+    assert cp_len == max(levels[n.node_id][0] + n.wcet for n in dag.nodes if not n.children)
     assert cp_len <= total
 
     cluster_list = clusters(dag, levels, cp_nodes)
@@ -194,8 +193,8 @@ def assert_matches_reference(dag):
     got = analyze_dag(dag)
     assert {f.name: getattr(got, f.name) for f in fields(DagAnalysis)} == want
     assert prior_plus(dag) == want["prior_plus"]
-    assert est_lft(dag) == ref.est_lft(dag)
-    assert critical_path(dag) == ref.critical_path(dag)
+    assert windows(dag) == ref.est_lft(dag)
+    assert analyzed_cp(dag) == ref.critical_path(dag)
 
 
 # The replay benchmark's generator: five DAGs of 30-60 nodes per set.

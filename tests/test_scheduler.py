@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dagsched import analysis, scheduler
-from dagsched.analysis import analyze_dag, prior_plus
+from dagsched.analysis import prior_plus
 from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import TaskSet, build_dag, dumps_schedule, validate_schedule
 from dagsched.scheduler import (
@@ -13,7 +13,6 @@ from dagsched.scheduler import (
     NOT_ENOUGH_CORES,
     DagInfeasibleError,
     compact,
-    dynamic_lft,
     extend,
     primary_schedule,
     schedule_taskset,
@@ -53,10 +52,12 @@ DIAMOND_COMPACT = [[(1, 1, 0, 0, 1), (1, 3, 0, 1, 3), (1, 2, 0, 4, 7), (1, 4, 0,
 
 
 def test_dynamic_lft_examples(diamond):
-    lft = analyze_dag(diamond).lft
-    assert dynamic_lft(diamond, lft, 4, {}) == 8  # exit node: its own latest finish
-    assert dynamic_lft(diamond, lft, 2, {4: 8}) == 7  # child pinned at [7,8)
-    assert dynamic_lft(diamond, lft, 1, {2: 7, 3: 7}) == 4  # min(7-3, 7-2)
+    # every diamond node finishes at its latest finish: the deadline for an
+    # exit node, else the earliest start of its placed children
+    at = {p.node_id: p for lane in primary_schedule(diamond) for p in lane}
+    assert at[4].finish == 8  # exit node
+    assert at[2].finish == at[4].start == 7  # child placed at [7,8)
+    assert at[1].finish == min(at[2].start, at[3].start) == 4  # min(4, 5)
 
 
 # --- primary scheduling ------------------------------------------------------
