@@ -122,17 +122,33 @@ def stream(seed: int, *parts) -> random.Random:
     return random.Random(f"{seed}:" + ":".join(str(p) for p in parts))
 
 
-def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec:
+def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None:
+    """One random DAG, or None when its critical path exceeds its period.
+
+    The over-long draw is rejected before build_dag, after the same random
+    calls a kept draw makes, so the stream of later draws is unchanged.
+    """
     n = rng.randint(*cfg.nodes_per_dag)
     wcets = {nid: rng.randint(*cfg.wcet_range) for nid in range(1, n + 1)}
     edges = []
     # Forward edges only (low id to high id), so the result is acyclic by
-    # construction; the node labelling is the topological order.
+    # construction; the node labelling is the topological order.  So by
+    # node i's turn every parent has pushed its finish into start[i], and
+    # start[i] + wcets[i] is the heaviest path ending at i.
+    start = [0] * (n + 1)
+    cp_length = 0
     for i in range(1, n + 1):
+        finish = start[i] + wcets[i]
+        if finish > cp_length:
+            cp_length = finish
         for j in range(i + 1, n + 1):
             if rng.random() < cfg.edge_prob:
                 edges.append((i, j))
+                if finish > start[j]:
+                    start[j] = finish
     period = rng.choice(cfg.period_menu)
+    if cp_length > period:
+        return None
     return build_dag(dag_id, period, wcets, edges)
 
 
@@ -157,7 +173,7 @@ def generate_taskset(cfg: GenConfig, collection_index: int) -> tuple[TaskSet, in
                     f"(collection {collection_index}, dag {d}, config {cfg.to_doc()})"
                 )
             dag = _draw_dag(cfg, rng, d)
-            if dag.cp_length <= dag.period:
+            if dag is not None:
                 break
             redraws += 1
         dags.append(dag)

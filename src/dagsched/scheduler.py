@@ -12,9 +12,10 @@ schedule fits the available core count.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Sequence
 
 # prior_plus is unused here, but perfbench/tracer.py binds scheduler.prior_plus.
@@ -24,6 +25,7 @@ from .model import DagSpec, ScheduleEntry, ScheduleMap, TaskSet
 NOT_ENOUGH_CORES = "not_enough_cores"
 DAG_INFEASIBLE = "dag_infeasible"
 _RESTRETCH_CYCLES = 3  # restretch+sweep cycles in the last retry trial of compact
+_WIDTH = attrgetter("width")
 
 
 class DagInfeasibleError(Exception):
@@ -40,17 +42,25 @@ class Placement:
 
     rank is the job's effective prior-plus load, the node's prior-plus plus
     job times the DAG's total work: compaction moves lower ranks first.
+    lo and hi bound the job's static window, [release + earliest start,
+    release + latest finish] from the DAG analysis: no legal layout starts
+    the job before lo or finishes it after hi.
     """
 
-    __slots__ = ("dag_id", "node_id", "job", "start", "finish", "rank")
+    __slots__ = ("dag_id", "node_id", "job", "start", "finish", "rank", "lo", "hi")
 
-    def __init__(self, dag_id: int, node_id: int, job: int, start: int, finish: int, rank: int):
+    def __init__(
+        self, dag_id: int, node_id: int, job: int, start: int, finish: int, rank: int,
+        lo: int, hi: int,
+    ):
         self.dag_id = dag_id
         self.node_id = node_id
         self.job = job
         self.start = start
         self.finish = finish
         self.rank = rank
+        self.lo = lo
+        self.hi = hi
 
     def __repr__(self):
         return (
@@ -92,13 +102,15 @@ def primary_schedule(
     if even a fresh core cannot, the DAG is infeasible outright.
 
     Returns one list of placements per core used (job index 0), each ranked
-    by its node's prior-plus load from the analysis.
+    by its node's prior-plus load and bounded by its earliest start and
+    latest finish from the analysis.
     """
     if not dag.nodes:
         return []
     if analysis is None:
         analysis = analyze_dag(dag)
-    est, rank_pos, prior = analysis.est, analysis.rank_pos, analysis.prior_plus
+    est, lft = analysis.est, analysis.lft
+    rank_pos, prior = analysis.rank_pos, analysis.prior_plus
 
     cores = analysis.min_cores or 1
     lanes: list[list[Placement]] = [[] for _ in range(cores)]
@@ -131,7 +143,9 @@ def primary_schedule(
             best_core, best_alpha = len(lanes) - 1, latest
 
         start = best_alpha - node.wcet
-        lanes[best_core].insert(0, Placement(dag.dag_id, nid, 0, start, best_alpha, prior[nid]))
+        lanes[best_core].insert(
+            0, Placement(dag.dag_id, nid, 0, start, best_alpha, prior[nid], est[nid], lft[nid])
+        )
         free_until[best_core] = start
         start_of[nid] = start
         if trace is not None:
@@ -152,21 +166,26 @@ class _Linked(Placement):
 
     ups and downs are the same job's parent and child entries, so the
     earliest legal start and the latest legal finish are read off the
-    current placements directly.  release and deadline bound the job's
-    period window.
+    current placements directly.  The static window stands in for the
+    period window there: an entry node's lo is its release and an exit
+    node's hi its deadline, and in a legal layout every other node has a
+    parent finishing at or after its lo and a child starting at or before
+    its hi (see _Compactor._fill), so the results are the same.  width
+    never changes; efin = lo + width and lstart = hi - width are the
+    earliest finish and the latest start that the static window allows.
     """
 
-    __slots__ = ("ups", "downs", "release", "deadline")
+    __slots__ = ("ups", "downs", "width", "efin", "lstart")
 
     def earliest(self) -> int:
-        d = self.release
+        d = self.lo
         for q in self.ups:
             if q.finish > d:
                 d = q.finish
         return d
 
     def latest(self) -> int:
-        f = self.deadline
+        f = self.hi
         for c in self.downs:
             if c.start < f:
                 f = c.start
@@ -193,85 +212,111 @@ class _Compactor:
 
     def __init__(self, cores: Sequence[Sequence[Placement]], ts: TaskSet):
         self.horizon = ts.hyperperiod
-        self.min_wcet = min((n.wcet for d in ts.dags for n in d.nodes), default=1)
         self.lanes = [
-            [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish, p.rank) for p in lane]
+            [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish, p.rank, p.lo, p.hi)
+             for p in lane]
             for lane in cores
         ]
-        entry = {(p.dag_id, p.node_id, p.job): p for lane in self.lanes for p in lane}
-        for (dag_id, node_id, job), p in entry.items():
-            dag = ts.dag(dag_id)
-            node = dag.node(node_id)
-            p.release = job * dag.period
-            p.deadline = p.release + dag.period
-            p.ups = [entry[(dag_id, q, job)] for q in node.parents]
-            p.downs = [entry[(dag_id, c, job)] for c in node.children]
+        jobs: dict[tuple[int, int], dict[int, _Linked]] = {}  # (dag, job) -> node id -> entry
+        for lane in self.lanes:
+            for p in lane:
+                entry = jobs.get((p.dag_id, p.job))
+                if entry is None:
+                    entry = jobs[(p.dag_id, p.job)] = {}
+                entry[p.node_id] = p
+        for (dag_id, job), entry in jobs.items():
+            linked = entry.__getitem__
+            for node in ts.dag(dag_id).nodes:
+                p = entry[node.node_id]
+                p.ups = [*map(linked, node.parents)]
+                p.downs = [*map(linked, node.children)]
+                width = p.width = p.finish - p.start
+                p.efin, p.lstart = p.lo + width, p.hi - width
         self._index()
 
     def _index(self) -> None:
         self.widths: list[list[int]] = []
         self.movers: list[list[_Linked]] = []
         for lane in self.lanes:
-            movers = sorted(lane, key=lambda p: p.finish - p.start)
-            self.widths.append([p.finish - p.start for p in movers])
+            movers = sorted(lane, key=_WIDTH)
+            self.widths.append([p.width for p in movers])
             self.movers.append(movers)
 
     def used(self) -> int:
         return sum(1 for lane in self.lanes if lane)
 
     def save(self) -> list[list[tuple[_Linked, int]]]:
-        """Each lane's (entry, start) pairs, for restore."""
+        """Each lane's (entry, start) pairs: the layout, for restore."""
         return [[(p, p.start) for p in lane] for lane in self.lanes]
 
     def restore(self, saved: list[list[tuple[_Linked, int]]]) -> None:
         """Put every entry back at its saved lane and start."""
         for lane in saved:
             for p, start in lane:
-                p.start, p.finish = start, start + p.finish - p.start
+                p.start, p.finish = start, start + p.width
         self.lanes = [[p for p, _ in lane] for lane in saved]
         self._index()
 
-    def _shift(self, temp: _Linked, gap_start: int) -> bool:
-        target = temp.earliest()
-        if target < gap_start:
-            target = gap_start
-        if target >= temp.start:
-            return False
-        width = temp.finish - temp.start
-        temp.start, temp.finish = target, target + width
-        return True
+    def _candidates(self, ci: int) -> tuple[list[tuple[list[int], list[_Linked], int]], int]:
+        """(widths, movers, lane index) of each non-empty lane above ci, and their floor."""
+        cands = []
+        for cj in range(ci + 1, len(self.widths)):
+            widths = self.widths[cj]
+            if widths:
+                cands.append((widths, self.movers[cj], cj))
+        return cands, self._floor(cands)
 
-    def _fill(self, ci: int, at: int, gap_start: int, gap_end: int) -> bool:
+    def _floor(self, cands: list[tuple[list[int], list[_Linked], int]]) -> int:
+        """The narrowest mover in cands, or past the horizon when none is left."""
+        floor = self.horizon + 1
+        for widths, _, _ in cands:
+            if widths and widths[0] < floor:
+                floor = widths[0]
+        return floor
+
+    def _fill(
+        self,
+        ci: int,
+        at: int,
+        gap_start: int,
+        gap_end: int,
+        cands: list[tuple[list[int], list[_Linked], int]],
+    ) -> int:
         """Migrate the preferred fitting entry from a higher core into the hole.
 
-        The hole is [gap_start, gap_end) just before index at of lane ci.
-        The key ends in the mover's unique (dag, node, job), so it is a
-        strict total order: the choice never depends on the order in which
-        movers of equal width are visited, and restore may rebuild the
-        width index in any such order.
+        Returns the width of the entry that moved, or 0 when none fits.
 
-        A mover whose period window rules out the hole is skipped before
-        its links are read.  The test is exact: earliest() is at least the
-        release, so a mover with release + width > gap_end cannot finish by
-        gap_end; latest() is at most the deadline and the chosen start is at
-        least gap_start, so a mover with gap_start + width > deadline cannot
-        finish by its latest finish.  Either way the full check would reject
-        it, so the chosen mover is the same.
+        The hole is [gap_start, gap_end) just before index at of lane ci,
+        and cands holds the lanes above ci (see _candidates) that may still
+        hold movers.  The key ends in the mover's unique (dag, node, job),
+        so it is a strict total order: the choice never depends on the
+        order in which movers of equal width are visited, and restore may
+        rebuild the width index in any such order.
+
+        A mover whose static window rules out the hole is skipped before
+        its links are read.  The test is exact.  In a legal layout a job's
+        earliest legal start is at least lo and its latest legal finish at
+        most hi, by induction along the DAG from its entries and from its
+        exits, and every rung keeps the layout legal.  So a mover with
+        efin = lo + width > gap_end cannot finish by gap_end, and a mover
+        with lstart = hi - width < gap_start cannot start at or after
+        gap_start and still finish by its latest legal finish.  Either way
+        the full check would reject it, so the chosen mover is the same.
         """
         room = gap_end - gap_start
         best: _Linked | None = None
         best_core = -1
         best_key: tuple | None = None
         best_start = 0
-        for cj in range(ci + 1, len(self.lanes)):
-            widths, movers = self.widths[cj], self.movers[cj]
-            for k in range(bisect_right(widths, room)):
-                cand = movers[k]
-                w = widths[k]
-                if cand.release + w > gap_end or cand.deadline < gap_start + w:
+        for widths, movers, cj in cands:
+            if not widths or widths[0] > room:
+                continue
+            for cand in movers[:bisect_right(widths, room)]:
+                if cand.efin > gap_end or cand.lstart < gap_start:
                     continue
                 d = cand.earliest()
                 chosen = d if d > gap_start else gap_start
+                w = cand.width
                 fin = chosen + w
                 if fin > gap_end or fin > cand.latest():
                     continue
@@ -279,18 +324,19 @@ class _Compactor:
                 if best_key is None or key < best_key:
                     best, best_core, best_key, best_start = cand, cj, key, chosen
         if best is None:
-            return False
+            return 0
+        w = best.width
         self.lanes[best_core].remove(best)
-        movers = self.movers[best_core]
-        k = movers.index(best)
+        widths, movers = self.widths[best_core], self.movers[best_core]
+        k = movers.index(best, bisect_left(widths, w))
         del movers[k]
-        w = self.widths[best_core].pop(k)
+        del widths[k]
         k = bisect_right(self.widths[ci], w)
         self.widths[ci].insert(k, w)
         self.movers[ci].insert(k, best)
         best.start, best.finish = best_start, best_start + w
         self.lanes[ci].insert(at, best)
-        return True
+        return w
 
     def sweep(self, shift_any: bool) -> bool:
         """One walk over every gap; returns whether anything acted.
@@ -302,26 +348,46 @@ class _Compactor:
         core's free prefix (the first entry of the core).  The idle stretch
         after a non-empty core's last entry counts as one more fillable
         hole, bounded by the schedule horizon.
+
+        Each lane's walk lists the non-empty higher lanes once, and offers
+        _fill only the holes at least as wide as the floor, the narrowest
+        mover among them: no mover fits a narrower hole.  During the walk
+        of lane ci, fills only take movers out of those lanes, so the list
+        holds every lane that can still supply one, and the floor is
+        recomputed whenever a fill takes a mover of the floor's width.
         """
-        lanes, min_wcet = self.lanes, self.min_wcet
+        horizon = self.horizon
         acted = False
-        for ci, lane in enumerate(lanes):
+        for ci, lane in enumerate(self.lanes):
+            if not lane:
+                continue
+            cands, floor = self._candidates(ci)
             gap_start = 0
             at = 0
-            while at < len(lane):
+            n = len(lane)
+            while at < n:
                 temp = lane[at]
                 gap_end = temp.start
                 if gap_end > gap_start:
-                    if gap_end - gap_start >= min_wcet and self._fill(ci, at, gap_start, gap_end):
+                    if gap_end - gap_start >= floor and (
+                        moved := self._fill(ci, at, gap_start, gap_end, cands)
+                    ):
                         acted = True
                         at += 1  # the mover now sits just before temp
-                    elif (shift_any or gap_start == 0) and self._shift(temp, gap_start):
-                        acted = True
+                        n += 1
+                        if moved == floor:
+                            floor = self._floor(cands)
+                    elif shift_any or gap_start == 0:
+                        # slide temp to its earliest legal start, if that is earlier
+                        target = temp.earliest()
+                        if target < gap_start:
+                            target = gap_start
+                        if target < gap_end:
+                            temp.start, temp.finish = target, target + temp.width
+                            acted = True
                 gap_start = temp.finish
                 at += 1
-            if lane and self.horizon - gap_start >= min_wcet and self._fill(
-                ci, len(lane), gap_start, self.horizon
-            ):
+            if horizon - gap_start >= floor and self._fill(ci, n, gap_start, horizon, cands):
                 acted = True
         return acted
 
@@ -340,16 +406,16 @@ class _Compactor:
         width is at least 1, so each lane keeps its order and needs no
         re-sort.
         """
+        # (start, lane) pairs are unique, so the sort never compares entries
         order = [(p.start, ci, p) for ci, lane in enumerate(self.lanes) for p in lane]
-        order.sort(key=lambda t: (-t[0], -t[1]))
+        order.sort(reverse=True)
         head = [self.horizon] * len(self.lanes)  # new start of each lane's successor
         for _, ci, p in order:
             limit = p.latest()  # at most its deadline, so within the horizon
             if head[ci] < limit:
                 limit = head[ci]
-            width = p.finish - p.start
-            p.start, p.finish = limit - width, limit
-            head[ci] = limit - width
+            p.start, p.finish = limit - p.width, limit
+            head[ci] = p.start
 
 
 def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Placement]]:
@@ -365,6 +431,15 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     must respect the mover's parents' finishes, its children's starts, and
     its own period window.
 
+    Three exact prunings keep the choice of every move as it would be
+    without them.  A fill skips each mover whose static window (the
+    placement's lo and hi: release plus the node's earliest start and
+    latest finish) rules out the hole, since no legal layout puts a job
+    outside that window (see _Compactor._fill).  A hole narrower than the
+    floor, the narrowest mover on any non-empty higher core, is not
+    offered to a fill at all (see _Compactor.sweep).  And a restretch trial
+    stops at a repeated layout (below).
+
     Sweeps repeat until none acts.  The retry ladder runs baseline sweeps,
     then one loosened trial, then restretch trials.  The baseline sweeps
     restrict the self-shift to each core's free prefix.  The loosened
@@ -372,13 +447,18 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     migration.  A restretch trial runs up to three cycles; a cycle pushes
     every entry as late as it may go and re-runs the loosened sweeps,
     rebuilding walkable holes at the front of left-welded layouts, and the
-    core count is checked after each cycle.  A trial is kept only when it
-    strictly reduces the core count, and restretch trials repeat until one
-    does not.  Every kept trial ends in loosened sweeps, so one loosened
-    trial is enough, and the result is stable: compacting a compacted
-    schedule is a no-op.  The whole ladder runs on one _Compactor: each
-    trial starts from a save of the layout and a rejected trial is
-    restored from it.
+    core count is checked after each cycle.  A cycle is a deterministic
+    function of the layout it starts from (lanes, order and starts; the
+    fill key is a strict total order, so the order of the width index does
+    not matter), so once a cycle ends at a layout the trial has already
+    seen, every later cycle would only repeat layouts that did not lower
+    the core count, and the trial stops there.  A trial is kept only when
+    it strictly reduces the core count, and restretch trials repeat until
+    one does not.  Every kept trial ends in loosened sweeps, so one
+    loosened trial is enough, and the result is stable: compacting a
+    compacted schedule is a no-op.  The whole ladder runs on one
+    _Compactor: each trial starts from a save of the layout and a
+    rejected trial is restored from it.
 
     No lane holds more work than the latest deadline of the entries, since
     every entry starts at or after 0 and ends by its own deadline, so the
@@ -392,12 +472,13 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     preserved.
 
     Every input lane must be sorted by start with no overlapping entries,
-    as primary_schedule and extend produce them.
+    and the layout legal (as primary_schedule and extend produce it).
     """
     work = _Compactor(cores, ts)
     entries = [p for lane in work.lanes for p in lane]
-    busy = sum(p.finish - p.start for p in entries)
-    bound = -(-busy // max((p.deadline for p in entries), default=1))
+    busy = sum(p.width for p in entries)
+    # every job's exit nodes have hi = deadline, so this is the latest deadline
+    bound = -(-busy // max((p.hi for p in entries), default=1))
     work.run(shift_any=False)
     if work.used() > bound:
         saved, target = work.save(), work.used()
@@ -406,11 +487,16 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
             work.restore(saved)
     while work.used() > bound:
         saved, target = work.save(), work.used()
+        seen = [saved]
         for _ in range(_RESTRETCH_CYCLES):
             work.restretch()
             work.run(shift_any=True)
             if work.used() < target:
                 break
+            layout = work.save()
+            if layout in seen:
+                break
+            seen.append(layout)
         if work.used() >= target:
             work.restore(saved)
             break
@@ -422,12 +508,12 @@ def extend(
 ) -> list[list[Placement]]:
     """Repeat a one-period schedule across the hyperperiod.
 
-    Copy k carries job index k with all starts and finishes shifted by
-    k periods and its rank by k times the DAG's total work; the core
-    layout is unchanged.  Each input lane must be sorted by start with
-    every entry inside [0, period), as compact leaves a one-period
-    schedule; then copy k lies in [k*period, (k+1)*period), so the
-    job-major concatenation is already sorted by start.
+    Copy k carries job index k with all starts and finishes, and its static
+    window, shifted by k periods and its rank by k times the DAG's total
+    work; the core layout is unchanged.  Each input lane must be sorted by
+    start with every entry inside [0, period), as compact leaves a
+    one-period schedule; then copy k lies in [k*period, (k+1)*period), so
+    the job-major concatenation is already sorted by start.
     """
     if horizon % dag.period != 0:
         raise ValueError(
@@ -438,9 +524,9 @@ def extend(
     out: list[list[Placement]] = []
     for lane in cores:
         extended = [
-            Placement(p.dag_id, p.node_id, k, p.start + k * period, p.finish + k * period,
-                      p.rank + k * work)
-            for k in range(copies)
+            Placement(p.dag_id, p.node_id, k, p.start + shift, p.finish + shift,
+                      p.rank + k * work, p.lo + shift, p.hi + shift)
+            for k, shift in zip(range(copies), range(0, horizon, period))
             for p in lane
         ]
         out.append(extended)

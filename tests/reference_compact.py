@@ -185,7 +185,8 @@ class _Compactor:
 
 def _copy_lanes(cores):
     return [
-        [Placement(p.dag_id, p.node_id, p.job, p.start, p.finish, p.rank) for p in lane]
+        [Placement(p.dag_id, p.node_id, p.job, p.start, p.finish, p.rank, p.lo, p.hi)
+         for p in lane]
         for lane in cores
     ]
 

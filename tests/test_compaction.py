@@ -9,6 +9,10 @@ sorted by start with no overlapping entries.  Inside compact, every retry
 rung (each sweep-to-fixpoint, each restretch and each rollback of a
 rejected trial) must leave a legal schedule, checked against the task set
 rather than compaction's own links, and one compactor serves the call.
+Each rung also keeps every entry's earliest legal start and latest legal
+finish inside its static window, which is what makes the window test of a
+fill exact, and no fill is offered a hole narrower than the narrowest
+mover it could take.
 No rung runs once the core count reaches the lower bound
 ceil(busy time / latest deadline), computed here from the task set.
 """
@@ -23,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagsched import scheduler
+from dagsched.analysis import analyze_dag
 from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import TaskSet, build_dag, validate_schedule
 
@@ -99,19 +104,39 @@ def cores_in_use(lanes) -> int:
     return sum(1 for lane in lanes if lane)
 
 
+def assert_inside_static_windows(lanes, ts: TaskSet) -> None:
+    # Each entry's window is its release plus the analysis' earliest start
+    # and latest finish, and holds its earliest legal start (release or
+    # latest parent finish) and latest legal finish (deadline or earliest
+    # child start): the exactness argument of the fill's window test.
+    at = {(p.dag_id, p.node_id, p.job): p for lane in lanes for p in lane}
+    analyses = {dag.dag_id: analyze_dag(dag) for dag in ts.dags}
+    for (dag_id, node_id, job), p in at.items():
+        dag, a = ts.dag(dag_id), analyses[dag_id]
+        node = dag.node(node_id)
+        release = job * dag.period
+        assert (p.lo, p.hi) == (release + a.est[node_id], release + a.lft[node_id]), p
+        earliest = max([release] + [at[(dag_id, q, job)].finish for q in node.parents])
+        latest = min([release + dag.period] + [at[(dag_id, c, job)].start for c in node.children])
+        assert p.lo <= earliest and latest <= p.hi, (p, p.lo, p.hi)
+
+
 @contextmanager
 def checked_rungs(ts: TaskSet):
     """Check the lanes after every _Compactor.run, restretch and restore.
 
     Yields one (bound, rungs) pair per _Compactor construction: the core
     lower bound of its input, and a (name, cores before, cores after)
-    triple for each of those calls in order.
+    triple for each of those calls in order.  Every _fill call must be on
+    a hole at least as wide as the narrowest entry in a higher lane.
     """
     calls: list[tuple[int, list[tuple[str, int, int]]]] = []
     real_init = scheduler._Compactor.__init__
+    real_fill = scheduler._Compactor._fill
 
     def init(self, cores, ts):
         real_init(self, cores, ts)
+        assert_inside_static_windows(self.lanes, ts)
         calls.append((core_bound(cores, ts), []))
 
     def checked(name):
@@ -121,12 +146,19 @@ def checked_rungs(ts: TaskSet):
             before = cores_in_use(self.lanes)
             real(self, *args, **kwargs)
             assert_legal_lanes(self.lanes, ts)
+            assert_inside_static_windows(self.lanes, ts)
             calls[-1][1].append((name, before, cores_in_use(self.lanes)))
 
         return rung
 
+    def fill(self, ci, at, gap_start, gap_end, *args):
+        widths = [p.finish - p.start for lane in self.lanes[ci + 1:] for p in lane]
+        assert widths and gap_end - gap_start >= min(widths), (ci, gap_start, gap_end)
+        return real_fill(self, ci, at, gap_start, gap_end, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scheduler._Compactor, "__init__", init)
+        mp.setattr(scheduler._Compactor, "_fill", fill)
         for name in ("run", "restretch", "restore"):
             mp.setattr(scheduler._Compactor, name, checked(name))
         yield calls
@@ -223,6 +255,28 @@ def test_compact_at_the_bound_after_the_baseline_sweeps_runs_no_trial():
 @given(small_tasksets())
 def test_every_retry_rung_is_legal_on_small_tasksets(ts):
     schedule_checking_rungs(ts)
+
+
+@pytest.mark.parametrize("dags", [10, 20, 40])
+def test_wide_global_passes_match_reference(dags):
+    # the pinned scale-ladder sets: global passes over 13 to 48 lanes,
+    # where the default 5-DAG sets stack at most ten
+    ts, _ = generate_taskset(GenConfig(collections=1, dags_per_collection=dags, seed=3), 0)
+    _, calls = schedule_recorded(ts)
+    assert_matches_reference(ts, calls)
+
+
+def test_restretch_trial_stops_at_a_repeated_layout():
+    # on this set the global pass's last restretch trial is rejected after
+    # two cycles, the second reproducing an earlier layout; running the
+    # third cycle, as the reference does, would change nothing
+    ts, _ = generate_taskset(GenConfig(seed=1), 16)
+    with checked_rungs(ts) as calls:
+        _, recorded = schedule_recorded(ts)
+    names = [name for name, _, _ in calls[-1][1]]
+    assert names[-1] == "restore"
+    assert names.count("restretch") < scheduler._RESTRETCH_CYCLES
+    assert_matches_reference(ts, recorded)
 
 
 @pytest.mark.parametrize("seed,collection,cores", [(1, 173, 5), (2, 63, 5), (2, 129, 6)])

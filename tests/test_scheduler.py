@@ -41,6 +41,17 @@ def assert_ranked(lanes, ts: TaskSet) -> None:
             assert p.rank == prior_plus(dag)[p.node_id] + p.job * dag.total_work, p
 
 
+def assert_windowed(lanes, ts: TaskSet) -> None:
+    # a placement's static window is its release plus the node's earliest
+    # start and latest finish from the analysis
+    for lane in lanes:
+        for p in lane:
+            dag = ts.dag(p.dag_id)
+            a = analysis.analyze_dag(dag)
+            release = p.job * dag.period
+            assert (p.lo, p.hi) == (release + a.est[p.node_id], release + a.lft[p.node_id]), p
+
+
 DIAMOND_PRIMARY = [
     [(1, 1, 0, 3, 4), (1, 2, 0, 4, 7), (1, 4, 0, 7, 8)],
     [(1, 3, 0, 5, 7)],
@@ -79,6 +90,14 @@ def test_primary_diamond_two_cores(diamond, diamond_ts):
     assert_ranked(lanes, diamond_ts)
 
 
+def test_primary_sets_static_windows(diamond, diamond_ts):
+    # est 0, 1, 1, 4 and lft 4, 7, 7, 8 for s, a, b, t
+    lanes = primary_schedule(diamond)
+    windows = {p.node_id: (p.lo, p.hi) for lane in lanes for p in lane}
+    assert windows == {1: (0, 4), 2: (1, 7), 3: (1, 7), 4: (4, 8)}
+    assert_windowed(lanes, diamond_ts)
+
+
 def test_primary_empty_dag():
     assert primary_schedule(build_dag(1, 5, {})) == []
 
@@ -97,6 +116,7 @@ def test_primary_precedence_by_construction():
         dag = random_dag(rng, max_nodes=10)
         lanes = primary_schedule(dag)
         assert_ranked(lanes, TaskSet.build([dag]))
+        assert_windowed(lanes, TaskSet.build([dag]))
         pos = {p.node_id: p for lane in lanes for p in lane}
         assert sorted(pos) == sorted(dag.node_ids)
         for node in dag.nodes:
@@ -188,6 +208,21 @@ def test_extend_shifts_copies():
     got = extend(lanes, dag, 15)
     assert by_node(got) == [[(1, 1, 0, 3, 5), (1, 1, 1, 8, 10), (1, 1, 2, 13, 15)]]
     assert_ranked(got, TaskSet.build([dag]))
+    assert [(p.lo, p.hi) for p in got[0]] == [(0, 5), (5, 10), (10, 15)]
+
+
+def test_extend_shifts_static_windows(diamond):
+    # copy k's window is copy 0's shifted by k periods, for every node
+    ts = TaskSet.build([diamond, build_dag(2, 24, {1: 1})])
+    one_period = primary_schedule(diamond)
+    got = extend(one_period, diamond, ts.hyperperiod)
+    base = {p.node_id: (p.lo, p.hi) for lane in one_period for p in lane}
+    for lane in got:
+        for p in lane:
+            lo, hi = base[p.node_id]
+            assert (p.lo, p.hi) == (lo + 8 * p.job, hi + 8 * p.job), p
+    assert {p.job for lane in got for p in lane} == {0, 1, 2}
+    assert_windowed(got, ts)
 
 
 def test_extend_single_copy_when_period_equals_horizon():
@@ -281,6 +316,7 @@ def test_stacked_blocks_cover_each_dag_once():
     )
     lanes = stack_extended_schedules(ts)
     assert_ranked(lanes, ts)
+    assert_windowed(lanes, ts)
     counts: dict[tuple[int, int, int], int] = {}
     for lane in lanes:
         for p in lane:
