@@ -19,10 +19,11 @@ class DagAnalysis:
     """Bundle of every per-DAG analysis result.
 
     prior_plus, est, lft and rank_pos map each node id to its prior-plus
-    load, earliest start, latest finish and position in rank_order (0 =
-    highest priority).  min_cores is only set when the DAG is feasible
-    (critical path fits in the deadline); an infeasible DAG cannot be
-    scheduled on any number of cores, so no core estimate exists for it.
+    load, earliest start (from the DAG's est), latest finish and position
+    in rank_order (0 = highest priority).  min_cores is only set when the
+    DAG is feasible (critical path fits in the deadline); an infeasible DAG
+    cannot be scheduled on any number of cores, so no core estimate exists
+    for it.
     """
 
     prior_plus: dict[int, int]
@@ -75,32 +76,23 @@ def rank(dag: DagSpec, pp: Mapping[int, int]) -> list[int]:
     return sorted(pp, key=lambda nid: (-pp[nid], dag.node(nid).wcet, nid))
 
 
-def _windows(dag: DagSpec) -> tuple[dict[int, int], dict[int, int]]:
-    """Earliest start and latest finish of every node, as two dicts.
+def _latest_finish(dag: DagSpec) -> dict[int, int]:
+    """Each node's latest finish: its slowest child chain still meets the deadline.
 
-    A node starts once its slowest parent chain is done and finishes early
-    enough for its slowest child chain to meet the deadline.
+    Earliest starts need no pass here: build_dag keeps them as DagSpec.est.
     """
-    nodes = [dag.node(nid) for nid in dag.topo_order]
-    est: dict[int, int] = {}
-    eft: dict[int, int] = {}  # earliest finish: est + wcet
-    for node in nodes:
-        start = 0
-        for p in node.parents:
-            if eft[p] > start:
-                start = eft[p]
-        est[node.node_id] = start
-        eft[node.node_id] = start + node.wcet
+    deadline = dag.deadline
     lft: dict[int, int] = {}
     lst: dict[int, int] = {}  # latest start: lft - wcet
-    for node in reversed(nodes):
-        finish = dag.deadline
+    for nid in reversed(dag.topo_order):
+        node = dag.node(nid)
+        finish = deadline
         for c in node.children:
             if lst[c] < finish:
                 finish = lst[c]
-        lft[node.node_id] = finish
-        lst[node.node_id] = finish - node.wcet
-    return est, lft
+        lft[nid] = finish
+        lst[nid] = finish - node.wcet
+    return lft
 
 
 def _heaviest_path(dag: DagSpec, lft: Mapping[int, int]) -> list[int]:
@@ -155,7 +147,7 @@ def analyze_dag(dag: DagSpec) -> DagAnalysis:
     """Run the full per-DAG analysis pipeline."""
     pp = prior_plus(dag)
     order = rank(dag, pp)
-    est, lft = _windows(dag)
+    est, lft = dict(zip(dag.node_ids, dag.est)), _latest_finish(dag)
     cp_nodes = _heaviest_path(dag, lft)
     feasible = dag.cp_length <= dag.deadline
     return DagAnalysis(

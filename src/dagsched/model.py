@@ -74,18 +74,22 @@ class TaskNode(NamedTuple):
 class DagSpec:
     """One periodic DAG with derived totals.
 
-    deadline always equals period; total_work is the sum of node wcets and
+    The deadline is the period; total_work is the sum of node wcets and
     cp_length the weight of the heaviest directed path.  topo_order is the
-    node ids in the topological order build_dag's cycle check found.
+    node ids in the topological order build_dag's cycle check found, and
+    est the earliest start of each node in nodes, the heaviest path ending
+    at its parents, found by the same pass (DagAnalysis.est maps node ids
+    to it).  est is a tuple, a fifth of a dict's size, because every DAG
+    holds it for as long as its task set lives.
     """
 
     dag_id: int
     period: int
-    deadline: int
     total_work: int
     cp_length: int
     nodes: tuple[TaskNode, ...]
     topo_order: tuple[int, ...] = field(repr=False, compare=False)
+    est: tuple[int, ...] = field(repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,6 +97,10 @@ class DagSpec:
 
     def node(self, node_id: int) -> TaskNode:
         return self._by_id[node_id]
+
+    @property
+    def deadline(self) -> int:
+        return self.period
 
     @property
     def node_ids(self) -> tuple[int, ...]:
@@ -169,8 +177,8 @@ def build_dag(
     """Assemble a DagSpec from raw node weights and precedence edges.
 
     wcets maps node id to execution time; edges are (parent, child) pairs.
-    Derived fields (total work, critical-path length, topological order)
-    are computed here.
+    Derived fields (total work, critical-path length, topological order,
+    earliest starts) are computed here.
     Raises TaskSetError for non-positive weights or periods, dangling edge
     endpoints, and cycles (the error names one offending cycle).
     """
@@ -218,11 +226,11 @@ def build_dag(
     return DagSpec(
         dag_id=dag_id,
         period=period,
-        deadline=period,
         total_work=sum(wcets.values()),
         cp_length=cp_length,
         nodes=nodes,
         topo_order=tuple(order),
+        est=tuple(start.values()),  # start is keyed by ids in order, as nodes is
     )
 
 

@@ -12,7 +12,7 @@ schedule fits the available core count.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -112,9 +112,10 @@ def primary_schedule(
     est, lft = analysis.est, analysis.lft
     rank_pos, prior = analysis.rank_pos, analysis.prior_plus
 
+    deadline = dag.deadline
     cores = analysis.min_cores or 1
     lanes: list[list[Placement]] = [[] for _ in range(cores)]
-    free_until = [dag.deadline] * cores  # start of each core's earliest entry
+    free_until = [deadline] * cores  # start of each core's earliest entry
 
     start_of: dict[int, int] = {}  # placed node id -> its start
     waiting = {n.node_id: len(n.children) for n in dag.nodes}
@@ -126,7 +127,7 @@ def primary_schedule(
     while ready:
         _, nid = heappop(ready)
         node = dag.node(nid)
-        latest = min((start_of[c] for c in node.children), default=dag.deadline)
+        latest = min((start_of[c] for c in node.children), default=deadline)
 
         best_core = 0
         best_alpha = min(latest, free_until[0])
@@ -139,7 +140,7 @@ def primary_schedule(
             if latest - node.wcet < est[nid]:
                 raise DagInfeasibleError(dag.dag_id, nid)
             lanes.append([])
-            free_until.append(dag.deadline)
+            free_until.append(deadline)
             best_core, best_alpha = len(lanes) - 1, latest
 
         start = best_alpha - node.wcet
@@ -204,10 +205,10 @@ class _Compactor:
     finish, and a lane's idle tail starts at its last entry's finish.
     Every entry is linked to its job's parents and children (see _Linked),
     so a move needs no bookkeeping beyond the lanes themselves.
-    Alongside each lane, widths/movers hold the same entries sorted by
-    width, so a fill only visits the movers narrow enough for its hole;
-    they change only when a fill moves an entry to another lane, and
-    restore rebuilds them.
+    Alongside each lane, movers holds the same entries in nondecreasing
+    width, so a fill's walk of a lane stops at the first mover too wide
+    for its hole.  It changes only when a fill moves an entry to another
+    lane, and restore rebuilds it.
     """
 
     def __init__(self, cores: Sequence[Sequence[Placement]], ts: TaskSet):
@@ -235,12 +236,7 @@ class _Compactor:
         self._index()
 
     def _index(self) -> None:
-        self.widths: list[list[int]] = []
-        self.movers: list[list[_Linked]] = []
-        for lane in self.lanes:
-            movers = sorted(lane, key=_WIDTH)
-            self.widths.append([p.width for p in movers])
-            self.movers.append(movers)
+        self.movers = [sorted(lane, key=_WIDTH) for lane in self.lanes]
 
     def used(self) -> int:
         return sum(1 for lane in self.lanes if lane)
@@ -257,21 +253,18 @@ class _Compactor:
         self.lanes = [[p for p, _ in lane] for lane in saved]
         self._index()
 
-    def _candidates(self, ci: int) -> tuple[list[tuple[list[int], list[_Linked], int]], int]:
-        """(widths, movers, lane index) of each non-empty lane above ci, and their floor."""
-        cands = []
-        for cj in range(ci + 1, len(self.widths)):
-            widths = self.widths[cj]
-            if widths:
-                cands.append((widths, self.movers[cj], cj))
+    def _candidates(self, ci: int) -> tuple[list[tuple[list[_Linked], int]], int]:
+        """(movers, lane index) of each non-empty lane above ci, and their floor."""
+        movers = self.movers
+        cands = [(movers[cj], cj) for cj in range(ci + 1, len(movers)) if movers[cj]]
         return cands, self._floor(cands)
 
-    def _floor(self, cands: list[tuple[list[int], list[_Linked], int]]) -> int:
+    def _floor(self, cands: list[tuple[list[_Linked], int]]) -> int:
         """The narrowest mover in cands, or past the horizon when none is left."""
         floor = self.horizon + 1
-        for widths, _, _ in cands:
-            if widths and widths[0] < floor:
-                floor = widths[0]
+        for movers, _ in cands:
+            if movers and movers[0].width < floor:
+                floor = movers[0].width
         return floor
 
     def _fill(
@@ -280,7 +273,7 @@ class _Compactor:
         at: int,
         gap_start: int,
         gap_end: int,
-        cands: list[tuple[list[int], list[_Linked], int]],
+        cands: list[tuple[list[_Linked], int]],
     ) -> int:
         """Migrate the preferred fitting entry from a higher core into the hole.
 
@@ -288,10 +281,12 @@ class _Compactor:
 
         The hole is [gap_start, gap_end) just before index at of lane ci,
         and cands holds the lanes above ci (see _candidates) that may still
-        hold movers.  The key ends in the mover's unique (dag, node, job),
-        so it is a strict total order: the choice never depends on the
-        order in which movers of equal width are visited, and restore may
-        rebuild the width index in any such order.
+        hold movers.  Each lane's movers are in nondecreasing width, so its
+        walk stops at the first mover wider than the hole: every later one
+        is at least as wide.  The key ends in the mover's unique (dag,
+        node, job), so it is a strict total order: the choice never depends
+        on the order in which movers of equal width are visited, and
+        restore may rebuild the width order in any such order.
 
         A mover whose static window rules out the hole is skipped before
         its links are read.  The test is exact.  In a legal layout a job's
@@ -308,15 +303,15 @@ class _Compactor:
         best_core = -1
         best_key: tuple | None = None
         best_start = 0
-        for widths, movers, cj in cands:
-            if not widths or widths[0] > room:
-                continue
-            for cand in movers[:bisect_right(widths, room)]:
+        for movers, cj in cands:
+            for cand in movers:
+                w = cand.width
+                if w > room:
+                    break
                 if cand.efin > gap_end or cand.lstart < gap_start:
                     continue
                 d = cand.earliest()
                 chosen = d if d > gap_start else gap_start
-                w = cand.width
                 fin = chosen + w
                 if fin > gap_end or fin > cand.latest():
                     continue
@@ -327,13 +322,9 @@ class _Compactor:
             return 0
         w = best.width
         self.lanes[best_core].remove(best)
-        widths, movers = self.widths[best_core], self.movers[best_core]
-        k = movers.index(best, bisect_left(widths, w))
-        del movers[k]
-        del widths[k]
-        k = bisect_right(self.widths[ci], w)
-        self.widths[ci].insert(k, w)
-        self.movers[ci].insert(k, best)
+        self.movers[best_core].remove(best)
+        movers = self.movers[ci]
+        movers.insert(bisect_right(movers, w, key=_WIDTH), best)
         best.start, best.finish = best_start, best_start + w
         self.lanes[ci].insert(at, best)
         return w
@@ -429,7 +420,7 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     smallest penalty (chosen start minus gap start) — or, when no mover
     fits, the entry itself shifts left to its earliest legal start.  A move
     must respect the mover's parents' finishes, its children's starts, and
-    its own period window.
+    its static window.
 
     Three exact prunings keep the choice of every move as it would be
     without them.  A fill skips each mover whose static window (the
@@ -449,8 +440,8 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     rebuilding walkable holes at the front of left-welded layouts, and the
     core count is checked after each cycle.  A cycle is a deterministic
     function of the layout it starts from (lanes, order and starts; the
-    fill key is a strict total order, so the order of the width index does
-    not matter), so once a cycle ends at a layout the trial has already
+    fill key is a strict total order, so the order of movers of equal width
+    does not matter), so once a cycle ends at a layout the trial has already
     seen, every later cycle would only repeat layouts that did not lower
     the core count, and the trial stops there.  A trial is kept only when
     it strictly reduces the core count, and restretch trials repeat until

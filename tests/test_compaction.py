@@ -11,8 +11,9 @@ rejected trial) must leave a legal schedule, checked against the task set
 rather than compaction's own links, and one compactor serves the call.
 Each rung also keeps every entry's earliest legal start and latest legal
 finish inside its static window, which is what makes the window test of a
-fill exact, and no fill is offered a hole narrower than the narrowest
-mover it could take.
+fill exact, and each lane's movers in width order, which is what makes a
+fill's early stop exact; no fill is offered a hole narrower than the
+narrowest mover it could take.
 No rung runs once the core count reaches the lower bound
 ceil(busy time / latest deadline), computed here from the task set.
 """
@@ -121,6 +122,17 @@ def assert_inside_static_windows(lanes, ts: TaskSet) -> None:
         assert p.lo <= earliest and latest <= p.hi, (p, p.lo, p.hi)
 
 
+def assert_width_ordered_movers(work) -> None:
+    # Each lane's movers list holds exactly that lane's entries, by
+    # identity, in nondecreasing width: the fill's walk stops at the first
+    # mover too wide for the hole, which is exact only under this.
+    assert len(work.movers) == len(work.lanes)
+    for ci, (lane, movers) in enumerate(zip(work.lanes, work.movers)):
+        assert sorted(map(id, movers)) == sorted(map(id, lane)), ci
+        widths = [p.width for p in movers]
+        assert widths == sorted(widths), (ci, widths)
+
+
 @contextmanager
 def checked_rungs(ts: TaskSet):
     """Check the lanes after every _Compactor.run, restretch and restore.
@@ -128,7 +140,8 @@ def checked_rungs(ts: TaskSet):
     Yields one (bound, rungs) pair per _Compactor construction: the core
     lower bound of its input, and a (name, cores before, cores after)
     triple for each of those calls in order.  Every _fill call must be on
-    a hole at least as wide as the narrowest entry in a higher lane.
+    a hole at least as wide as the narrowest entry in a higher lane, and
+    each lane's movers must stay its entries in width order.
     """
     calls: list[tuple[int, list[tuple[str, int, int]]]] = []
     real_init = scheduler._Compactor.__init__
@@ -137,6 +150,7 @@ def checked_rungs(ts: TaskSet):
     def init(self, cores, ts):
         real_init(self, cores, ts)
         assert_inside_static_windows(self.lanes, ts)
+        assert_width_ordered_movers(self)
         calls.append((core_bound(cores, ts), []))
 
     def checked(name):
@@ -147,6 +161,7 @@ def checked_rungs(ts: TaskSet):
             real(self, *args, **kwargs)
             assert_legal_lanes(self.lanes, ts)
             assert_inside_static_windows(self.lanes, ts)
+            assert_width_ordered_movers(self)
             calls[-1][1].append((name, before, cores_in_use(self.lanes)))
 
         return rung

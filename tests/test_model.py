@@ -50,6 +50,13 @@ def test_load_single_node_dag():
     assert ts.hyperperiod == 5
 
 
+def test_build_dag_keeps_earliest_starts():
+    # each node's earliest start is the heaviest path ending at its parents
+    dag = diamond_dag()
+    assert dag.est == (0, 1, 1, 4)
+    assert "est" not in repr(dag)  # a derived field, like topo_order
+
+
 def test_load_two_dags_hyperperiod_20():
     ts = load_taskset(
         doc(
