@@ -136,6 +136,24 @@ def allocation_limit(limit: int = 1 << 20):
 # --- schedule/trace checkers --------------------------------------------------
 
 
+def reference_taskset_doc(ts: TaskSet) -> dict:
+    """The task-set document of ts: DAGs by id, nodes by id, edges by (parent, child).
+
+    dumps_taskset must write exactly json.dumps(doc, indent=2) + "\\n".
+    """
+    return {
+        "dags": [
+            {
+                "id": dag.dag_id,
+                "period": dag.period,
+                "nodes": [{"id": n.node_id, "wcet": n.wcet} for n in dag.nodes],
+                "edges": [[n.node_id, c] for n in dag.nodes for c in n.children],
+            }
+            for dag in ts.dags
+        ]
+    }
+
+
 def reference_schedule_doc(mp: ScheduleMap) -> dict:
     """The schedule document of mp, entries by (core, start, finish, dag, node, job).
 

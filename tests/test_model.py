@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagsched.baseline import gedf_np_simulate
@@ -33,6 +34,7 @@ from helpers import (
     chain_dag,
     diamond_dag,
     reference_schedule_doc,
+    reference_taskset_doc,
     single_node_dag,
 )
 
@@ -108,6 +110,15 @@ def test_load_errors_carry_locus():
         )
     with pytest.raises(TaskSetError, match="invalid JSON"):
         load_taskset(b"{not json")
+    with pytest.raises(TaskSetError, match="dag entry 0: id must be an integer, got True"):
+        load_taskset(doc([{"id": True, "period": 5, "nodes": [{"id": 1, "wcet": 1}]}]))
+    with pytest.raises(TaskSetError, match="dag 1: node id must be an integer, got True"):
+        load_taskset(doc([{"id": 1, "period": 5, "nodes": [{"id": True, "wcet": 1}]}]))
+    two_nodes = [{"id": 1, "wcet": 1}, {"id": 2, "wcet": 1}]
+    with pytest.raises(TaskSetError, match="dag 1: edge src must be an integer, got True"):
+        load_taskset(doc([{"id": 1, "period": 5, "nodes": two_nodes, "edges": [[True, 2]]}]))
+    with pytest.raises(TaskSetError, match="dag 1: edge dst must be an integer, got '2'"):
+        load_taskset(doc([{"id": 1, "period": 5, "nodes": two_nodes, "edges": [[1, "2"]]}]))
 
 
 @pytest.mark.parametrize("edges", [5, None])
@@ -143,6 +154,21 @@ def test_task_node_is_an_immutable_tuple():
     assert dag != diamond_dag(period=9)
     assert dag != build_dag(1, 8, {1: 1, 2: 3, 3: 2, 4: 2}, [(1, 2), (1, 3), (2, 4), (3, 4)])
     assert dag != build_dag(1, 8, {1: 1, 2: 3, 3: 2, 4: 1}, [(1, 2), (1, 3), (2, 4)])
+
+
+@pytest.mark.parametrize("dag_id, wcets, edges, message", [
+    (True, {1: 2}, [], "dag id must be an integer, got True"),
+    (1.0, {1: 2}, [], "dag id must be an integer, got 1.0"),
+    (1, {True: 2}, [], "dag 1: node id must be an integer, got True"),
+    (1, {"1": 2}, [], "dag 1: node id must be an integer, got '1'"),
+    (1, {1: 2, 2: 2}, [(True, 2)], "dag 1: edge src must be an integer, got True"),
+    (1, {1: 2, 2: 2}, [(1, 2.0)], "dag 1: edge dst must be an integer, got 2.0"),
+])
+def test_build_dag_rejects_ids_that_are_not_integers(dag_id, wcets, edges, message):
+    # True == 1 passes the dense-id check and every id lookup, and would be
+    # written as true, which load_taskset refuses to read back
+    with pytest.raises(TaskSetError, match=re.escape(message)):
+        TaskSet.build([build_dag(dag_id, 10, wcets, edges)])
 
 
 def test_self_loop_is_a_cycle():
@@ -351,6 +377,60 @@ def test_taskset_document_round_trip():
     again = load_taskset(text)
     assert dumps_taskset(again) == text
     assert again.hyperperiod == ts.hyperperiod
+
+
+def replay_shaped(seed: int, collections: int) -> GenConfig:
+    # the task sets of the replay benchmark: wide DAGs, sparse edges
+    return GenConfig(collections=collections, dags_per_collection=5, edge_prob=0.15,
+                     nodes_per_dag=(30, 60), period_menu=(100, 200), seed=seed)
+
+
+@st.composite
+def task_sets(draw):
+    # One base period scaled by 1, 2 or 4 keeps the hyperperiod within the
+    # job budget; ids run past 32 bits both ways; nodes and edges may be absent.
+    base = draw(st.integers(1, 2**61))
+    node_id = st.one_of(st.integers(-(2**70), -1), st.integers(0, 99), st.integers(2**32, 2**70))
+    dags = []
+    for dag_id in range(1, draw(st.integers(0, 4)) + 1):
+        ids = draw(st.lists(node_id, max_size=8, unique=True))
+        wcets = {nid: draw(st.integers(1, 2**64 - 1)) for nid in ids}
+        edges = []
+        if ids:
+            at = st.integers(0, len(ids) - 1)
+            pairs = draw(st.lists(st.tuples(at, at), max_size=12))
+            # an edge from the earlier drawn id to the later one: never a cycle
+            edges = [(ids[i], ids[j]) for i, j in pairs if i < j]
+        period = base * draw(st.sampled_from((1, 2, 4)))
+        dags.append(build_dag(dag_id, period, wcets, edges))
+    return TaskSet.build(dags)
+
+
+def assert_writes_reference_taskset(ts):
+    assert dumps_taskset(ts) == json.dumps(reference_taskset_doc(ts), indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(task_sets())
+@example(TaskSet.build([]))
+@example(TaskSet.build([build_dag(1, 5, {}), build_dag(2, 10, {-1: 3, 2**40: 1})]))
+def test_taskset_writer_matches_json_on_any_set(ts):
+    assert_writes_reference_taskset(ts)
+
+
+def test_taskset_writer_matches_json_on_generated_collections():
+    for cfg, count in ((GenConfig(), 40), (replay_shaped(1, 8), 8)):
+        for c in range(count):
+            assert_writes_reference_taskset(generate_taskset(cfg, c)[0])
+
+
+def test_taskset_writer_peak_allocation_stays_near_the_document():
+    # json's indented encoder peaks near 8.5x the document; the templates
+    # hold each DAG's text and the one joined document, about 2x
+    ts, _ = generate_taskset(replay_shaped(1, 1), 0)
+    size = len(dumps_taskset(ts))
+    with allocation_limit(5 * size):
+        dumps_taskset(ts)
 
 
 def test_schedule_entry_core_out_of_range():
