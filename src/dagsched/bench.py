@@ -75,6 +75,13 @@ class GenConfig:
                 raise ValueError(f"range [{lo}, {hi}] must be nonempty and positive")
         if not self.period_menu or any(p < 1 for p in self.period_menu):
             raise ValueError("period_menu must list positive periods")
+        # every DAG has at least nodes_per_dag[0] nodes, each released at least once
+        least = self.dags_per_collection * self.nodes_per_dag[0]
+        if least > JOB_BUDGET:
+            raise ValueError(
+                f"dags_per_collection * nodes_per_dag[0] = {least} jobs per collection "
+                f"exceeds the job budget {JOB_BUDGET}"
+            )
 
     def to_doc(self) -> dict:
         return {
@@ -294,6 +301,11 @@ def run_experiment(cfg: GenConfig, core_counts: list[int]) -> ExperimentReport:
         raise ValueError(
             f"core_counts must list core counts in 1..{JOB_BUDGET}, got {core_counts}"
         )
+    listed: set[int] = set()
+    for m in ms:
+        if m in listed:
+            raise ValueError(f"core_counts repeats core count {m}, got {core_counts}")
+        listed.add(m)
     rows: list[Row] = []
     regenerated = 0
     for c in range(cfg.collections):

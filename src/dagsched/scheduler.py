@@ -253,20 +253,6 @@ class _Compactor:
         self.lanes = [[p for p, _ in lane] for lane in saved]
         self._index()
 
-    def _candidates(self, ci: int) -> tuple[list[tuple[list[_Linked], int]], int]:
-        """(movers, lane index) of each non-empty lane above ci, and their floor."""
-        movers = self.movers
-        cands = [(movers[cj], cj) for cj in range(ci + 1, len(movers)) if movers[cj]]
-        return cands, self._floor(cands)
-
-    def _floor(self, cands: list[tuple[list[_Linked], int]]) -> int:
-        """The narrowest mover in cands, or past the horizon when none is left."""
-        floor = self.horizon + 1
-        for movers, _ in cands:
-            if movers and movers[0].width < floor:
-                floor = movers[0].width
-        return floor
-
     def _fill(
         self,
         ci: int,
@@ -274,14 +260,14 @@ class _Compactor:
         gap_start: int,
         gap_end: int,
         cands: list[tuple[list[_Linked], int]],
-    ) -> int:
+    ) -> bool:
         """Migrate the preferred fitting entry from a higher core into the hole.
 
-        Returns the width of the entry that moved, or 0 when none fits.
+        Returns whether an entry moved.
 
         The hole is [gap_start, gap_end) just before index at of lane ci,
-        and cands holds the lanes above ci (see _candidates) that may still
-        hold movers.  Each lane's movers are in nondecreasing width, so its
+        and cands holds the (movers, lane index) of the non-empty lanes
+        above ci.  Each lane's movers are in nondecreasing width, so its
         walk stops at the first mover wider than the hole: every later one
         is at least as wide.  The key ends in the mover's unique (dag,
         node, job), so it is a strict total order: the choice never depends
@@ -319,7 +305,7 @@ class _Compactor:
                 if best_key is None or key < best_key:
                     best, best_core, best_key, best_start = cand, cj, key, chosen
         if best is None:
-            return 0
+            return False
         w = best.width
         self.lanes[best_core].remove(best)
         self.movers[best_core].remove(best)
@@ -327,7 +313,7 @@ class _Compactor:
         movers.insert(bisect_right(movers, w, key=_WIDTH), best)
         best.start, best.finish = best_start, best_start + w
         self.lanes[ci].insert(at, best)
-        return w
+        return True
 
     def sweep(self, shift_any: bool) -> bool:
         """One walk over every gap; returns whether anything acted.
@@ -339,20 +325,13 @@ class _Compactor:
         core's free prefix (the first entry of the core).  The idle stretch
         after a non-empty core's last entry counts as one more fillable
         hole, bounded by the schedule horizon.
-
-        Each lane's walk lists the non-empty higher lanes once, and offers
-        _fill only the holes at least as wide as the floor, the narrowest
-        mover among them: no mover fits a narrower hole.  During the walk
-        of lane ci, fills only take movers out of those lanes, so the list
-        holds every lane that can still supply one, and the floor is
-        recomputed whenever a fill takes a mover of the floor's width.
         """
-        horizon = self.horizon
+        horizon, movers = self.horizon, self.movers
         acted = False
         for ci, lane in enumerate(self.lanes):
             if not lane:
                 continue
-            cands, floor = self._candidates(ci)
+            cands = [(movers[cj], cj) for cj in range(ci + 1, len(movers)) if movers[cj]]
             gap_start = 0
             at = 0
             n = len(lane)
@@ -360,14 +339,10 @@ class _Compactor:
                 temp = lane[at]
                 gap_end = temp.start
                 if gap_end > gap_start:
-                    if gap_end - gap_start >= floor and (
-                        moved := self._fill(ci, at, gap_start, gap_end, cands)
-                    ):
+                    if self._fill(ci, at, gap_start, gap_end, cands):
                         acted = True
                         at += 1  # the mover now sits just before temp
                         n += 1
-                        if moved == floor:
-                            floor = self._floor(cands)
                     elif shift_any or gap_start == 0:
                         # slide temp to its earliest legal start, if that is earlier
                         target = temp.earliest()
@@ -378,7 +353,7 @@ class _Compactor:
                             acted = True
                 gap_start = temp.finish
                 at += 1
-            if horizon - gap_start >= floor and self._fill(ci, n, gap_start, horizon, cands):
+            if gap_start < horizon and self._fill(ci, n, gap_start, horizon, cands):
                 acted = True
         return acted
 
@@ -422,14 +397,12 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     must respect the mover's parents' finishes, its children's starts, and
     its static window.
 
-    Three exact prunings keep the choice of every move as it would be
+    Two exact prunings keep the choice of every move as it would be
     without them.  A fill skips each mover whose static window (the
     placement's lo and hi: release plus the node's earliest start and
     latest finish) rules out the hole, since no legal layout puts a job
-    outside that window (see _Compactor._fill).  A hole narrower than the
-    floor, the narrowest mover on any non-empty higher core, is not
-    offered to a fill at all (see _Compactor.sweep).  And a restretch trial
-    stops at a repeated layout (below).
+    outside that window, and its walk of a lane stops at the first mover
+    too wide for the hole (see _Compactor._fill).
 
     Sweeps repeat until none acts.  The retry ladder runs baseline sweeps,
     then one loosened trial, then restretch trials.  The baseline sweeps
@@ -438,12 +411,7 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     migration.  A restretch trial runs up to three cycles; a cycle pushes
     every entry as late as it may go and re-runs the loosened sweeps,
     rebuilding walkable holes at the front of left-welded layouts, and the
-    core count is checked after each cycle.  A cycle is a deterministic
-    function of the layout it starts from (lanes, order and starts; the
-    fill key is a strict total order, so the order of movers of equal width
-    does not matter), so once a cycle ends at a layout the trial has already
-    seen, every later cycle would only repeat layouts that did not lower
-    the core count, and the trial stops there.  A trial is kept only when
+    core count is checked after each cycle.  A trial is kept only when
     it strictly reduces the core count, and restretch trials repeat until
     one does not.  Every kept trial ends in loosened sweeps, so one
     loosened trial is enough, and the result is stable: compacting a
@@ -478,16 +446,11 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
             work.restore(saved)
     while work.used() > bound:
         saved, target = work.save(), work.used()
-        seen = [saved]
         for _ in range(_RESTRETCH_CYCLES):
             work.restretch()
             work.run(shift_any=True)
             if work.used() < target:
                 break
-            layout = work.save()
-            if layout in seen:
-                break
-            seen.append(layout)
         if work.used() >= target:
             work.restore(saved)
             break

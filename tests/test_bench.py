@@ -90,6 +90,16 @@ def test_config_round_trip_and_validation():
         GenConfig.from_doc({"edge_probability": 0.5})
 
 
+def test_config_holding_more_jobs_than_the_budget_fails_fast():
+    # every DAG has at least nodes_per_dag[0] nodes released at least once
+    GenConfig(dags_per_collection=JOB_BUDGET // 5, nodes_per_dag=(5, 9))
+    GenConfig(dags_per_collection=JOB_BUDGET, nodes_per_dag=(1, 1))
+    with pytest.raises(ValueError, match=f"1000005 jobs .* {JOB_BUDGET}"):
+        GenConfig.from_doc({"dags_per_collection": 200001, "nodes_per_dag": [5, 5]})
+    with pytest.raises(ValueError, match="job budget"):
+        GenConfig(dags_per_collection=JOB_BUDGET + 1, nodes_per_dag=(1, 1))
+
+
 @pytest.mark.parametrize(
     "value,field",
     [(v, f) for v in (2.7, "5", True) for f in ("collections", "seed", "nodes_per_dag")]
@@ -140,6 +150,13 @@ def test_trivial_experiment_rates_are_one():
 def test_experiment_core_count_is_bounded_before_any_collection_runs():
     with allocation_limit(), pytest.raises(ValueError, match=f"in 1..{JOB_BUDGET}"):
         run_experiment(TINY, [4, JOB_BUDGET + 1])
+
+
+def test_experiment_rejects_a_repeated_core_count():
+    # each m's summary counts its rows, so a repeated m would count every
+    # collection twice and read a success rate of 2.0
+    with pytest.raises(ValueError, match="repeats core count 16"):
+        run_experiment(GenConfig(collections=3, seed=0), [16, 16])
 
 
 def test_experiment_rows_match_direct_calls():

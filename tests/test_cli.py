@@ -234,6 +234,23 @@ def test_gen_config_with_a_malformed_list_is_usage_error(tmp_path, capsys, confi
     assert len(err) == 1 and err[0].startswith(f"error: config field {next(iter(config))}: ")
 
 
+@pytest.mark.parametrize("command,match", [
+    (["gen", "--config", "over-budget"], "1000005 jobs per collection exceeds the job budget"),
+    (["bench", "--cores", "16,16"], "core_counts repeats core count 16"),
+])
+def test_config_rejected_before_any_collection_is_usage_error(tmp_path, capsys, command, match):
+    # 200001 DAGs of at least 5 nodes cannot fit the job budget; a repeated
+    # core count would count every collection twice in its summary
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dags_per_collection": 200001, "nodes_per_dag": [5, 5]}))
+    argv = [str(cfg) if a == "over-budget" else a for a in command]
+    assert run_cli([*argv, "--seed", "0", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
+    assert len(err[0]) < 200
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
+
+
 def one_node_dags(tmp_path, *periods):
     path = tmp_path / "ts.json"
     path.write_text(json.dumps({"dags": [

@@ -12,8 +12,7 @@ rather than compaction's own links, and one compactor serves the call.
 Each rung also keeps every entry's earliest legal start and latest legal
 finish inside its static window, which is what makes the window test of a
 fill exact, and each lane's movers in width order, which is what makes a
-fill's early stop exact; no fill is offered a hole narrower than the
-narrowest mover it could take.
+fill's early stop exact.
 No rung runs once the core count reaches the lower bound
 ceil(busy time / latest deadline), computed here from the task set.
 """
@@ -139,13 +138,11 @@ def checked_rungs(ts: TaskSet):
 
     Yields one (bound, rungs) pair per _Compactor construction: the core
     lower bound of its input, and a (name, cores before, cores after)
-    triple for each of those calls in order.  Every _fill call must be on
-    a hole at least as wide as the narrowest entry in a higher lane, and
-    each lane's movers must stay its entries in width order.
+    triple for each of those calls in order.  Each lane's movers must stay
+    its entries in width order.
     """
     calls: list[tuple[int, list[tuple[str, int, int]]]] = []
     real_init = scheduler._Compactor.__init__
-    real_fill = scheduler._Compactor._fill
 
     def init(self, cores, ts):
         real_init(self, cores, ts)
@@ -166,14 +163,8 @@ def checked_rungs(ts: TaskSet):
 
         return rung
 
-    def fill(self, ci, at, gap_start, gap_end, *args):
-        widths = [p.finish - p.start for lane in self.lanes[ci + 1:] for p in lane]
-        assert widths and gap_end - gap_start >= min(widths), (ci, gap_start, gap_end)
-        return real_fill(self, ci, at, gap_start, gap_end, *args)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scheduler._Compactor, "__init__", init)
-        mp.setattr(scheduler._Compactor, "_fill", fill)
         for name in ("run", "restretch", "restore"):
             mp.setattr(scheduler._Compactor, name, checked(name))
         yield calls
@@ -281,17 +272,16 @@ def test_wide_global_passes_match_reference(dags):
     assert_matches_reference(ts, calls)
 
 
-def test_restretch_trial_stops_at_a_repeated_layout():
-    # on this set the global pass's last restretch trial is rejected after
-    # two cycles, the second reproducing an earlier layout; running the
-    # third cycle, as the reference does, would change nothing
-    ts, _ = generate_taskset(GenConfig(seed=1), 16)
-    with checked_rungs(ts) as calls:
-        _, recorded = schedule_recorded(ts)
-    names = [name for name, _, _ in calls[-1][1]]
-    assert names[-1] == "restore"
-    assert names.count("restretch") < scheduler._RESTRETCH_CYCLES
-    assert_matches_reference(ts, recorded)
+@pytest.mark.parametrize("collection", [1, 3])
+def test_long_hyperperiods_match_reference(collection):
+    # hyperperiod 1600 (532 and 585 jobs): lanes hold many copies of one
+    # job, where the width walk and the static window skip the most movers
+    cfg = GenConfig(collections=4, period_menu=(40, 50, 100, 1600), seed=1)
+    ts, _ = generate_taskset(cfg, collection)
+    assert ts.hyperperiod == 1600
+    _, calls = schedule_recorded(ts)
+    assert_matches_reference(ts, calls)
+    schedule_checking_rungs(ts)
 
 
 @pytest.mark.parametrize("seed,collection,cores", [(1, 173, 5), (2, 63, 5), (2, 129, 6)])
