@@ -134,6 +134,11 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None
 
     The over-long draw is rejected before build_dag, after the same random
     calls a kept draw makes, so the stream of later draws is unchanged.
+    The longest path is computed here even though build_dag computes it
+    again for a kept draw: about half the draws are rejected, and building
+    every draw through build_dag and rejecting on its cp_length made the
+    200 default collections of seed 1 1.5x slower to generate (best of 3,
+    7 alternating rounds, none faster), with the same sets.
     """
     n = rng.randint(*cfg.nodes_per_dag)
     wcets = {nid: rng.randint(*cfg.wcet_range) for nid in range(1, n + 1)}
@@ -242,13 +247,18 @@ def _validate(mp: ScheduleMap, ts: TaskSet, cfg: GenConfig, c: int, what: str) -
 def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[Row], int]:
     """Generate collection c and run both algorithms on it for every m in ms.
 
-    Returns the collection's rows (for each m, the proposed row then the
-    baseline row) and its redraw count.  The proposed scheduler's placement
-    does not depend on the core budget (the budget only gates acceptance),
-    so the collection is scheduled once at max(ms) and compared against
-    every m; the baseline is simulated per m.  Every claimed success is
-    re-checked by the validator, and a validation failure raises
-    ExperimentError naming the collection for replay.
+    Returns the collection's rows (for each m in the order given, the
+    proposed row then the baseline row) and its redraw count.  The proposed
+    scheduler's placement does not depend on the core budget (the budget
+    only gates acceptance), so the collection is scheduled once at max(ms)
+    and compared against every m.  The baseline is simulated from the
+    largest m down, each run stopped once its row is decided (a miss seen
+    and all m cores taken).  A run that ends having taken at most a smaller
+    m's cores never found work waiting while that many cores were taken
+    and none was free, so capped at that m it would make the same
+    dispatches: its row is that m's row too, and is reused.  Every claimed success is re-checked by the
+    validator, and a validation failure raises ExperimentError naming the
+    collection for replay.
     """
     ts, redraws = generate_taskset(cfg, c)
     res = schedule_taskset(ts, max(ms))
@@ -258,20 +268,26 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
         _validate(res.schedule, ts, cfg, c, "scheduler output")
         if used:
             p_util = sum(res.schedule.busy_per_core) / (used * ts.hyperperiod)
+    baseline: dict[int, tuple[bool, int, float | None]] = {}
+    last = None
+    for m in sorted(ms, reverse=True):
+        if last is None or last[1] > m:
+            sim = gedf_np_simulate(ts, m, stop_when_decided=True)
+            b_used = sim.trace.used_cores
+            b_util = None
+            if sim.success:
+                _validate(sim.trace, ts, cfg, c, "baseline trace")
+                if b_used:
+                    b_util = sum(sim.trace.busy_per_core) / (b_used * ts.hyperperiod)
+            last = (sim.success, b_used, b_util)
+        baseline[m] = last
     rows = []
     for m in ms:
         p_ok = res.reason != DAG_INFEASIBLE and used <= m
         rows.append(
             Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
         )
-        sim = gedf_np_simulate(ts, m)
-        b_used = sim.trace.used_cores
-        b_util = None
-        if sim.success:
-            _validate(sim.trace, ts, cfg, c, "baseline trace")
-            if b_used:
-                b_util = sum(sim.trace.busy_per_core) / (b_used * ts.hyperperiod)
-        rows.append(Row(c, m, BASELINE, sim.success, b_used, b_util, ts.hyperperiod, cfg.seed))
+        rows.append(Row(c, m, BASELINE, *baseline[m], ts.hyperperiod, cfg.seed))
     return rows, redraws
 
 
@@ -411,6 +427,10 @@ _MARGIN_LEFT = 64
 _MARGIN_TOP = 28
 _MARGIN_BOTTOM = 30
 _MARGIN_RIGHT = 16
+# A DAG whose period gridlines would fall closer than this many pixels gets
+# none: at least 4 px per tick, a short period beside a long hyperperiod
+# would draw one line per release, and they would blur into one band.
+_GRID_MIN_PX = 8
 
 
 def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
@@ -419,8 +439,9 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
     Lanes are drawn up to the last core that holds an entry; the idle cores
     after it share one row whose label counts them, so a large declared core
     count costs one line.  Boxes are colored by DAG and labelled dag.node;
-    dashed gridlines mark every DAG's period multiples.  Output is
-    deterministic for a given map.
+    dashed gridlines mark every DAG's period multiples, except for a DAG
+    whose gridlines would lie closer than _GRID_MIN_PX pixels apart.  Output
+    is deterministic for a given map.
     Entries may overlap or run late, but each must be a job instance of ts:
     the first that is not raises TaskSetError, so a schedule drawn against
     the wrong task set is refused.
@@ -463,6 +484,8 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
         )
 
     for dag in ts.dags:
+        if dag.period * px < _GRID_MIN_PX:
+            continue
         color = _PALETTE[(dag.dag_id - 1) % len(_PALETTE)]
         for k in range(1, ts.hyperperiod // dag.period + 1):
             x = x0 + k * dag.period * px

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -133,6 +134,23 @@ class TaskSet:
 
     def dag(self, dag_id: int) -> DagSpec:
         return self._by_id[dag_id]
+
+    @cached_property
+    def job_table(self) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+        """(dag, node, job) -> (wcet, release, deadline) of every job instance.
+
+        Built on first use and kept, since the experiment validates several
+        schedules of one task set; callers must not modify it.
+        """
+        jobs = {}
+        for dag in self.dags:
+            period = dag.period
+            windows = [(k * period, (k + 1) * period) for k in range(self.hyperperiod // period)]
+            for node in dag.nodes:
+                dag_id, node_id, wcet = node.dag_id, node.node_id, node.wcet
+                for k, (release, deadline) in enumerate(windows):
+                    jobs[(dag_id, node_id, k)] = (wcet, release, deadline)
+        return jobs
 
     @classmethod
     def build(cls, dags: Iterable[DagSpec]) -> "TaskSet":
@@ -327,18 +345,12 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
     ``unknown_node`` and skipped by the remaining checks.
     """
     violations: list[Violation] = []
-    expected: dict[tuple[int, int, int], tuple[int, int]] = {}  # -> (wcet, period)
-    for dag in ts.dags:
-        jobs = range(ts.hyperperiod // dag.period)
-        for node in dag.nodes:
-            spec = (node.wcet, dag.period)
-            for k in jobs:
-                expected[(dag.dag_id, node.node_id, k)] = spec
-
+    expected = ts.job_table
     seen: dict[tuple[int, int, int], ScheduleEntry] = {}
     for core_idx, lane in enumerate(mp.cores):
         for e in lane:
-            key = e[:3]  # (dag_id, node_id, job)
+            dag_id, node_id, job, _, start, finish = e
+            key = (dag_id, node_id, job)
             spec = expected.get(key)
             if spec is None:
                 violations.append(
@@ -351,9 +363,7 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
                 )
                 continue
             seen[key] = e
-            wcet, period = spec
-            start, finish = e.start, e.finish
-            release = e.job * period
+            wcet, release, deadline = spec
             if finish - start != wcet:
                 violations.append(Violation(
                     DURATION, f"{_locus(e, core_idx)}: runs {finish - start} ticks, wcet is {wcet}"
@@ -362,10 +372,9 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
                 violations.append(Violation(
                     RELEASE, f"{_locus(e, core_idx)}: starts {start} before release {release}"
                 ))
-            if finish > release + period:
+            if finish > deadline:
                 violations.append(Violation(
-                    DEADLINE,
-                    f"{_locus(e, core_idx)}: finishes {finish} after deadline {release + period}",
+                    DEADLINE, f"{_locus(e, core_idx)}: finishes {finish} after deadline {deadline}",
                 ))
 
     if len(seen) < len(expected):

@@ -213,18 +213,27 @@ class _Compactor:
 
     def __init__(self, cores: Sequence[Sequence[Placement]], ts: TaskSet):
         self.horizon = ts.hyperperiod
-        self.lanes = [
-            [_Linked(p.dag_id, p.node_id, p.job, p.start, p.finish, p.rank, p.lo, p.hi)
-             for p in lane]
-            for lane in cores
-        ]
+        self.lanes = []
         jobs: dict[tuple[int, int], dict[int, _Linked]] = {}  # (dag, job) -> node id -> entry
-        for lane in self.lanes:
+        new = object.__new__  # copies without a call to Placement.__init__ per entry
+        for lane in cores:
+            copied = []
             for p in lane:
+                q = new(_Linked)
+                q.dag_id = p.dag_id
+                q.node_id = p.node_id
+                q.job = p.job
+                q.start = p.start
+                q.finish = p.finish
+                q.rank = p.rank
+                q.lo = p.lo
+                q.hi = p.hi
+                copied.append(q)
                 entry = jobs.get((p.dag_id, p.job))
                 if entry is None:
                     entry = jobs[(p.dag_id, p.job)] = {}
-                entry[p.node_id] = p
+                entry[p.node_id] = q
+            self.lanes.append(copied)
         for (dag_id, job), entry in jobs.items():
             linked = entry.__getitem__
             for node in ts.dag(dag_id).nodes:
@@ -233,6 +242,7 @@ class _Compactor:
                 p.downs = [*map(linked, node.children)]
                 width = p.width = p.finish - p.start
                 p.efin, p.lstart = p.lo + width, p.hi - width
+        self.top_rank = max((p.rank for lane in self.lanes for p in lane), default=0)
         self._index()
 
     def _index(self) -> None:
@@ -283,18 +293,24 @@ class _Compactor:
         with lstart = hi - width < gap_start cannot start at or after
         gap_start and still finish by its latest legal finish.  Either way
         the full check would reject it, so the chosen mover is the same.
+
+        A mover whose rank exceeds the best rank found so far in this fill
+        is skipped before its window and links are read: the key starts
+        with the rank, so its key would be larger than the best key.  The
+        best rank starts at top_rank, the largest rank in the compactor.
         """
         room = gap_end - gap_start
         best: _Linked | None = None
         best_core = -1
         best_key: tuple | None = None
+        best_rank = self.top_rank
         best_start = 0
         for movers, cj in cands:
             for cand in movers:
                 w = cand.width
                 if w > room:
                     break
-                if cand.efin > gap_end or cand.lstart < gap_start:
+                if cand.rank > best_rank or cand.efin > gap_end or cand.lstart < gap_start:
                     continue
                 d = cand.earliest()
                 chosen = d if d > gap_start else gap_start
@@ -304,6 +320,7 @@ class _Compactor:
                 key = (cand.rank, d + w, chosen - gap_start, cand.dag_id, cand.node_id, cand.job)
                 if best_key is None or key < best_key:
                     best, best_core, best_key, best_start = cand, cj, key, chosen
+                    best_rank = cand.rank
         if best is None:
             return False
         w = best.width
@@ -397,12 +414,13 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     must respect the mover's parents' finishes, its children's starts, and
     its static window.
 
-    Two exact prunings keep the choice of every move as it would be
+    Three exact prunings keep the choice of every move as it would be
     without them.  A fill skips each mover whose static window (the
     placement's lo and hi: release plus the node's earliest start and
     latest finish) rules out the hole, since no legal layout puts a job
-    outside that window, and its walk of a lane stops at the first mover
-    too wide for the hole (see _Compactor._fill).
+    outside that window, and each mover ranked above the best found so far,
+    since rank leads the preference; and its walk of a lane stops at the
+    first mover too wide for the hole (see _Compactor._fill).
 
     Sweeps repeat until none acts.  The retry ladder runs baseline sweeps,
     then one loosened trial, then restretch trials.  The baseline sweeps
@@ -509,12 +527,19 @@ def stack_extended_schedules(ts: TaskSet, trace: list[str] | None = None) -> lis
 
 
 def _to_schedule_map(lanes: Sequence[Sequence[Placement]]) -> ScheduleMap:
-    entries = [
-        ScheduleEntry(p.dag_id, p.node_id, p.job, core, p.start, p.finish)
+    """The map of compacted lanes, each already in the map's lane order.
+
+    A compacted lane is sorted by start with no overlap, so no two of its
+    entries share a start and start order is the map's (start, finish,
+    dag, node, job) order: the lanes need no regrouping or re-sort.
+    """
+    new = tuple.__new__  # builds an entry without the named tuple's Python-level __new__
+    cores = tuple(
+        tuple([new(ScheduleEntry, (p.dag_id, p.node_id, p.job, core, p.start, p.finish))
+               for p in lane])
         for core, lane in enumerate(lanes)
-        for p in lane
-    ]
-    return ScheduleMap.from_entries(len(lanes), entries)
+    )
+    return ScheduleMap(num_cores=len(lanes), cores=cores)
 
 
 def schedule_taskset(ts: TaskSet, m: int, trace: list[str] | None = None) -> ScheduleResult:

@@ -28,6 +28,11 @@ def single_node_dag(dag_id: int = 1, period: int = 5, wcet: int = 2) -> DagSpec:
     return build_dag(dag_id, period, {1: wcet})
 
 
+def job_count(ts: TaskSet) -> int:
+    """Job instances over one hyperperiod."""
+    return sum(len(dag.nodes) * (ts.hyperperiod // dag.period) for dag in ts.dags)
+
+
 def random_dag(rng, dag_id: int = 1, max_nodes: int = 12, feasible: bool = True) -> DagSpec:
     n = rng.randint(1, max_nodes)
     wcets = {i: rng.randint(1, 9) for i in range(1, n + 1)}

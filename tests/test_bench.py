@@ -5,12 +5,15 @@ import json
 
 import pytest
 
+from dagsched import bench
 from dagsched.baseline import gedf_np_simulate
 from dagsched.bench import (
     BASELINE,
     PROPOSED,
     GenConfig,
     GenerationError,
+    Row,
+    _run_collection,
     dumps_report,
     dumps_report_csv,
     export_report,
@@ -25,13 +28,14 @@ from dagsched.model import (
     ScheduleMap,
     TaskSet,
     TaskSetError,
+    build_dag,
     dumps_taskset,
     load_schedule,
     validate_schedule,
 )
-from dagsched.scheduler import schedule_taskset
+from dagsched.scheduler import DAG_INFEASIBLE, schedule_taskset
 
-from helpers import allocation_limit, diamond_dag
+from helpers import allocation_limit, diamond_dag, job_count
 
 TINY = GenConfig(
     collections=4,
@@ -193,6 +197,56 @@ def test_summary_matches_rows():
             assert s.proposed_utilization == sum(utils) / len(utils)
 
 
+def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
+    """_run_collection as it was before baseline runs stopped once decided and
+    served smaller core counts: one full simulation, and one validation of
+    each success, per core count, in the order given."""
+    ts, redraws = generate_taskset(cfg, c)
+    res = schedule_taskset(ts, max(ms))
+    used = res.cores_used
+    p_util = None
+    if res.success:
+        assert validate_schedule(res.schedule, ts).ok
+        if used:
+            p_util = sum(res.schedule.busy_per_core) / (used * ts.hyperperiod)
+    rows = []
+    for m in ms:
+        p_ok = res.reason != DAG_INFEASIBLE and used <= m
+        rows.append(
+            Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
+        )
+        sim = gedf_np_simulate(ts, m)
+        b_used = sim.trace.used_cores
+        b_util = None
+        if sim.success:
+            assert validate_schedule(sim.trace, ts).ok
+            if b_used:
+                b_util = sum(sim.trace.busy_per_core) / (b_used * ts.hyperperiod)
+        rows.append(Row(c, m, BASELINE, sim.success, b_used, b_util, ts.hyperperiod, cfg.seed))
+    return rows, redraws
+
+
+@pytest.mark.parametrize("ms,reused", [((4, 8, 16), 7), ((3, 4, 5, 6), 0), ((16, 8, 4), 7)])
+def test_collection_rows_match_one_full_run_per_core_count(ms, reused, monkeypatch):
+    runs = []
+    simulate = bench.gedf_np_simulate
+
+    def counted(ts, m, **kwargs):
+        sim = simulate(ts, m, **kwargs)
+        runs.append(sum(map(len, sim.trace.cores)) < job_count(ts))  # stopped before the end
+        return sim
+
+    monkeypatch.setattr(bench, "gedf_np_simulate", counted)
+    cfg = GenConfig(seed=3)
+    collections = 30
+    for c in range(collections):
+        assert _run_collection(cfg, ms, c) == one_full_run_per_core_count(cfg, ms, c), c
+    # rows reused from a run on 16 cores that took at most 8, and runs that
+    # stopped once they had missed with every core taken
+    assert len(runs) == collections * len(ms) - reused
+    assert any(runs)
+
+
 def test_success_rate_nondecreasing_in_m():
     report = run_experiment(TINY, [1, 2, 3, 4, 6])
     rates_p = [s.proposed_success_rate for s in report.summary]
@@ -343,3 +397,13 @@ def test_gantt_refuses_an_entry_of_another_task_set(dag_id, node_id, job):
     with pytest.raises(TaskSetError, match=f"^dag {dag_id} node {node_id} job {job} on core 1: "
                                            "no such job instance"):
         render_gantt(ScheduleMap.from_entries(2, entries), ts)
+
+
+def test_gantt_skips_gridlines_closer_than_a_few_pixels():
+    # a period-1 DAG beside a period-100000 one: one gridline per release
+    # would be 100000 lines 4 px apart (11.8 MB); the period-100000 line stays
+    ts = TaskSet.build([build_dag(1, 1, {}), build_dag(2, 100000, {1: 1})])
+    svg = render_gantt(load_schedule('{"num_cores": 1, "entries": []}'), ts)
+    assert len(svg.encode()) < 64 * 1024
+    assert svg.count('stroke-dasharray="3,3"') == 1
+    assert f'<line x1="{64 + 100000 * 4}" y1="28"' in svg

@@ -290,3 +290,37 @@ def test_third_restretch_cycle_saves_a_core(seed, collection, cores):
     # lowers the core count; with two cycles each needs one core more
     ts, _ = generate_taskset(GenConfig(seed=seed), collection)
     assert scheduler.schedule_taskset(ts, 1 << 20).cores_used == cores
+
+
+def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
+    # A fill reads the links of a mover that fits the hole's width and its
+    # static window only while the mover's rank is at most the best rank
+    # found so far; the fill key starts with the rank, so this changes no
+    # choice (test_wide_global_passes_match_reference[20] is the same set).
+    # Counted over every fill of the pinned ladder set of 20 DAGs.
+    ts, _ = generate_taskset(GenConfig(collections=1, dags_per_collection=20, seed=3), 0)
+    fill, earliest = scheduler._Compactor._fill, scheduler._Linked.earliest
+    counts = {"in_window": 0, "links_read": 0}
+    filling = [False]
+
+    def counted_fill(self, ci, at, gap_start, gap_end, cands):
+        for movers, _ in cands:
+            for cand in movers:
+                if cand.width > gap_end - gap_start:
+                    break
+                counts["in_window"] += cand.efin <= gap_end and cand.lstart >= gap_start
+        filling[0] = True
+        try:
+            return fill(self, ci, at, gap_start, gap_end, cands)
+        finally:
+            filling[0] = False
+
+    def counted_earliest(self):
+        counts["links_read"] += filling[0]
+        return earliest(self)
+
+    monkeypatch.setattr(scheduler._Compactor, "_fill", counted_fill)
+    monkeypatch.setattr(scheduler._Linked, "earliest", counted_earliest)
+    assert scheduler.schedule_taskset(ts, 1 << 20).cores_used == 18
+    # without the skip every mover in its window has its links read
+    assert counts == {"in_window": 12038, "links_read": 5497}
