@@ -140,8 +140,23 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None
     200 default collections of seed 1 1.5x slower to generate (best of 3,
     7 alternating rounds, none faster), with the same sets.
     """
-    n = rng.randint(*cfg.nodes_per_dag)
-    wcets = {nid: rng.randint(*cfg.wcet_range) for nid in range(1, n + 1)}
+    getrandbits, uniform, edge_prob = rng.getrandbits, rng.random, cfg.edge_prob
+
+    def below(n: int) -> int:
+        # The rejection loop of Random._randbelow, which randint and choice
+        # call: the same bits give the same draw, and a width-1 range still
+        # consumes them.  tests/test_bench.py pins the documents it yields.
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    lo, hi = cfg.nodes_per_dag
+    n = lo + below(hi - lo + 1)
+    lo, hi = cfg.wcet_range
+    span = hi - lo + 1
+    wcets = {nid: lo + below(span) for nid in range(1, n + 1)}
     edges = []
     # Forward edges only (low id to high id), so the result is acyclic by
     # construction; the node labelling is the topological order.  So by
@@ -154,11 +169,11 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None
         if finish > cp_length:
             cp_length = finish
         for j in range(i + 1, n + 1):
-            if rng.random() < cfg.edge_prob:
+            if uniform() < edge_prob:
                 edges.append((i, j))
                 if finish > start[j]:
                     start[j] = finish
-    period = rng.choice(cfg.period_menu)
+    period = cfg.period_menu[below(len(cfg.period_menu))]
     if cp_length > period:
         return None
     return build_dag(dag_id, period, wcets, edges)

@@ -298,6 +298,11 @@ class _Compactor:
         is skipped before its window and links are read: the key starts
         with the rank, so its key would be larger than the best key.  The
         best rank starts at top_rank, the largest rank in the compactor.
+
+        A mover that passes those tests has its links read in place, not
+        through earliest() and latest(): its earliest start is the latest
+        of lo and its parents' finishes, and the first child starting
+        before its finish rejects it.
         """
         room = gap_end - gap_start
         best: _Linked | None = None
@@ -312,15 +317,23 @@ class _Compactor:
                     break
                 if cand.rank > best_rank or cand.efin > gap_end or cand.lstart < gap_start:
                     continue
-                d = cand.earliest()
+                d = cand.lo
+                for q in cand.ups:
+                    if q.finish > d:
+                        d = q.finish
                 chosen = d if d > gap_start else gap_start
                 fin = chosen + w
-                if fin > gap_end or fin > cand.latest():
+                if fin > gap_end or fin > cand.hi:
                     continue
-                key = (cand.rank, d + w, chosen - gap_start, cand.dag_id, cand.node_id, cand.job)
-                if best_key is None or key < best_key:
-                    best, best_core, best_key, best_start = cand, cj, key, chosen
-                    best_rank = cand.rank
+                for c in cand.downs:
+                    if c.start < fin:
+                        break
+                else:
+                    key = (cand.rank, d + w, chosen - gap_start,
+                           cand.dag_id, cand.node_id, cand.job)
+                    if best_key is None or key < best_key:
+                        best, best_core, best_key, best_start = cand, cj, key, chosen
+                        best_rank = cand.rank
         if best is None:
             return False
         w = best.width
@@ -356,7 +369,7 @@ class _Compactor:
                 temp = lane[at]
                 gap_end = temp.start
                 if gap_end > gap_start:
-                    if self._fill(ci, at, gap_start, gap_end, cands):
+                    if cands and self._fill(ci, at, gap_start, gap_end, cands):
                         acted = True
                         at += 1  # the mover now sits just before temp
                         n += 1
@@ -370,7 +383,7 @@ class _Compactor:
                             acted = True
                 gap_start = temp.finish
                 at += 1
-            if gap_start < horizon and self._fill(ci, n, gap_start, horizon, cands):
+            if cands and gap_start < horizon and self._fill(ci, n, gap_start, horizon, cands):
                 acted = True
         return acted
 
@@ -446,7 +459,12 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     is reached, with the same lanes the rejected trials would have left.
     Emptied cores are dropped and the rest renumbered.
     The input is never mutated; busy time and the entry multiset are
-    preserved.
+    preserved.  The returned placements are the compactor's working copies
+    with their links to parent and child copies dropped: the links form
+    reference cycles, and with them in place one pass of the default sweep
+    left about 100k objects, and 55 ms of collections, to the cyclic
+    garbage collector.  Without them the copies are freed by reference
+    counting.
 
     Every input lane must be sorted by start with no overlapping entries,
     and the layout legal (as primary_schedule and extend produce it).
@@ -472,6 +490,8 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
         if work.used() >= target:
             work.restore(saved)
             break
+    for p in entries:
+        p.ups = p.downs = None
     return [lane for lane in work.lanes if lane]
 
 

@@ -82,6 +82,42 @@ def test_generation_is_deterministic():
     assert dumps_taskset(other) != dumps_taskset(a)
 
 
+REPLAY_SHAPED = GenConfig(
+    dags_per_collection=5, edge_prob=0.15, nodes_per_dag=(30, 60), period_menu=(100, 200), seed=1
+)
+
+
+@pytest.mark.parametrize(
+    "cfg,digests",
+    [
+        (GenConfig(seed=0), [
+            "15cabbf7a7983f8af5014cb8c64b8234b35d175e41c23cc1baa06cdd1f659e18",
+            "b07581bea19bd8991b62ef1b240a3bf330425d625f13810de7d81ab702a7cde3",
+            "ca2dea68c3ef1ba58c3b2d6d7d0f7b55a21d02ec1048f4e8e82cc1ec88d25bfa",
+            "d8cbf8f1d56f098f9110ae96e9cbcaa3cefd3ceaebfae13fd75e664f61c8da5a",
+        ]),
+        (REPLAY_SHAPED, [
+            "b4e625abc2d12e8f0effe67d82f87804282f514e08c8f44712997553d5799afb",
+            "e5588554260883c4022f0285db3b356dbfb6354cc2c600f6b81538012eeac23e",
+        ]),
+        # width-1 ranges and a one-period menu still consume their bits
+        (GenConfig(nodes_per_dag=(3, 3), wcet_range=(4, 4), period_menu=(77,), seed=5), [
+            "e26746bc7b39478a0d361b7a0a763f8c2998e2ff8bff1adafeff866a955b192f",
+            "d3de9e40e22d488e2f1e9f266d0a668179d7e2dc21a819d0f25c43c8af1bd1b0",
+            "aa6efb98718fe1c0f8dc3f5b7c644113ede5df6880bedfbfa960a2830e5b41fd",
+            "2a76282577612ef68a9e8965d496f5aa82f31956902bf9a5c29c2838dcb042a0",
+        ]),
+    ],
+    ids=["default", "replay-shaped", "width-1"],
+)
+def test_generated_documents_are_pinned(cfg, digests):
+    # Python does not promise the same randint/choice sequences across
+    # versions, and the generator draws its bits directly: every Python
+    # the project supports must write these exact documents.
+    docs = [dumps_taskset(generate_taskset(cfg, c)[0]) for c in range(len(digests))]
+    assert [hashlib.sha256(d.encode()).hexdigest() for d in docs] == digests
+
+
 def test_config_round_trip_and_validation():
     assert GenConfig.from_doc(TINY.to_doc()) == TINY
     with pytest.raises(ValueError):

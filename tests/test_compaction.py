@@ -19,6 +19,7 @@ ceil(busy time / latest deadline), computed here from the task set.
 
 from __future__ import annotations
 
+import gc
 import math
 from contextlib import contextmanager
 
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from dagsched import scheduler
 from dagsched.analysis import analyze_dag
-from dagsched.bench import GenConfig, generate_taskset
+from dagsched.bench import GenConfig, generate_taskset, run_experiment
 from dagsched.model import TaskSet, build_dag, validate_schedule
 
 from helpers import lanes_layout
@@ -297,9 +298,10 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
     # static window only while the mover's rank is at most the best rank
     # found so far; the fill key starts with the rank, so this changes no
     # choice (test_wide_global_passes_match_reference[20] is the same set).
-    # Counted over every fill of the pinned ladder set of 20 DAGs.
+    # Counted over every fill of the pinned ladder set of 20 DAGs, as reads
+    # of a mover's ups slot: a fill reads it once per mover it checks.
     ts, _ = generate_taskset(GenConfig(collections=1, dags_per_collection=20, seed=3), 0)
-    fill, earliest = scheduler._Compactor._fill, scheduler._Linked.earliest
+    fill, ups = scheduler._Compactor._fill, scheduler._Linked.__dict__["ups"]
     counts = {"in_window": 0, "links_read": 0}
     filling = [False]
 
@@ -315,12 +317,29 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
         finally:
             filling[0] = False
 
-    def counted_earliest(self):
+    def counted_ups(self):
         counts["links_read"] += filling[0]
-        return earliest(self)
+        return ups.__get__(self)
 
     monkeypatch.setattr(scheduler._Compactor, "_fill", counted_fill)
-    monkeypatch.setattr(scheduler._Linked, "earliest", counted_earliest)
+    monkeypatch.setattr(scheduler._Linked, "ups", property(counted_ups, ups.__set__))
     assert scheduler.schedule_taskset(ts, 1 << 20).cores_used == 18
     # without the skip every mover in its window has its links read
     assert counts == {"in_window": 12038, "links_read": 5497}
+
+
+def test_compaction_leaves_no_reference_cycles():
+    # compact drops every working copy's links before it returns, so the
+    # copies are freed by reference counting and the cyclic collector
+    # finds nothing after the pipeline or the experiment.
+    gc.collect()
+    gc.disable()
+    try:
+        for c in range(20):
+            scheduler.schedule_taskset(generate_taskset(GenConfig(), c)[0], 16)
+        ladder = GenConfig(collections=1, dags_per_collection=20, seed=3)
+        scheduler.schedule_taskset(generate_taskset(ladder, 0)[0], 1 << 20)
+        run_experiment(GenConfig(collections=5), [4, 8, 16])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
