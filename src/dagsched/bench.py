@@ -273,16 +273,19 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
     and none was free, so capped at that m it would make the same
     dispatches: its row is that m's row too, and is reused.  Every claimed success is re-checked by the
     validator, and a validation failure raises ExperimentError naming the
-    collection for replay.
+    collection for replay.  A schedule that validates runs every job once
+    for its wcet, so both algorithms' busy time is the task set's work over
+    the hyperperiod, counted once.
     """
     ts, redraws = generate_taskset(cfg, c)
+    busy = sum(d.total_work * (ts.hyperperiod // d.period) for d in ts.dags)
     res = schedule_taskset(ts, max(ms))
     used = res.cores_used
     p_util = None
     if res.success:
         _validate(res.schedule, ts, cfg, c, "scheduler output")
         if used:
-            p_util = sum(res.schedule.busy_per_core) / (used * ts.hyperperiod)
+            p_util = busy / (used * ts.hyperperiod)
     baseline: dict[int, tuple[bool, int, float | None]] = {}
     last = None
     for m in sorted(ms, reverse=True):
@@ -293,7 +296,7 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
             if sim.success:
                 _validate(sim.trace, ts, cfg, c, "baseline trace")
                 if b_used:
-                    b_util = sum(sim.trace.busy_per_core) / (b_used * ts.hyperperiod)
+                    b_util = busy / (b_used * ts.hyperperiod)
             last = (sim.success, b_used, b_util)
         baseline[m] = last
     rows = []

@@ -132,8 +132,13 @@ def _cmd_validate(args) -> int:
 
 
 def _load_config(args) -> GenConfig:
-    cfg = GenConfig.from_doc(json.loads(_read(args.config))) if args.config else GenConfig()
-    return replace(cfg, seed=args.seed)
+    if not args.config:
+        return GenConfig(seed=args.seed)
+    try:
+        doc = json.loads(_read(args.config))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    return replace(GenConfig.from_doc(doc), seed=args.seed)
 
 
 def _cmd_gen(args) -> int:

@@ -308,10 +308,6 @@ class ScheduleMap:
             yield from lane
 
     @property
-    def busy_per_core(self) -> tuple[int, ...]:
-        return tuple(sum(e.finish - e.start for e in lane) for lane in self.cores)
-
-    @property
     def used_cores(self) -> int:
         return sum(1 for lane in self.cores if lane)
 
@@ -456,7 +452,7 @@ def load_taskset(data: bytes | str) -> TaskSet:
     """Parse a task-set document and compute all derived fields."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise TaskSetError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("dags"), list):
         raise TaskSetError('task-set document must be an object with a "dags" list')
@@ -557,7 +553,7 @@ def load_schedule(data: bytes | str) -> ScheduleMap:
     """Parse a schedule document back into a ScheduleMap."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise TaskSetError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TaskSetError("schedule document must be an object")

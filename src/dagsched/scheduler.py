@@ -45,9 +45,22 @@ class Placement:
     lo and hi bound the job's static window, [release + earliest start,
     release + latest finish] from the DAG analysis: no legal layout starts
     the job before lo or finishes it after hi.
+
+    The last five slots are set only on compaction's working copies.  ups
+    and downs are the same job's parent and child entries, so the earliest
+    legal start (the latest of lo and the parents' finishes) and the latest
+    legal finish (the earliest of hi and the children's starts) are read
+    off the current placements in place.  The static window stands in for
+    the period window there: an entry node's lo is its release and an exit
+    node's hi its deadline, and in a legal layout every other node has a
+    parent finishing at or after its lo and a child starting at or before
+    its hi (see _Compactor._fill), so the results are the same.  width
+    never changes; efin = lo + width and lstart = hi - width are the
+    earliest finish and the latest start that the static window allows.
     """
 
-    __slots__ = ("dag_id", "node_id", "job", "start", "finish", "rank", "lo", "hi")
+    __slots__ = ("dag_id", "node_id", "job", "start", "finish", "rank", "lo", "hi",
+                 "ups", "downs", "width", "efin", "lstart")
 
     def __init__(
         self, dag_id: int, node_id: int, job: int, start: int, finish: int, rank: int,
@@ -162,37 +175,6 @@ def primary_schedule(
     return lanes
 
 
-class _Linked(Placement):
-    """A working copy of a placement, linked to the rest of its job.
-
-    ups and downs are the same job's parent and child entries, so the
-    earliest legal start and the latest legal finish are read off the
-    current placements directly.  The static window stands in for the
-    period window there: an entry node's lo is its release and an exit
-    node's hi its deadline, and in a legal layout every other node has a
-    parent finishing at or after its lo and a child starting at or before
-    its hi (see _Compactor._fill), so the results are the same.  width
-    never changes; efin = lo + width and lstart = hi - width are the
-    earliest finish and the latest start that the static window allows.
-    """
-
-    __slots__ = ("ups", "downs", "width", "efin", "lstart")
-
-    def earliest(self) -> int:
-        d = self.lo
-        for q in self.ups:
-            if q.finish > d:
-                d = q.finish
-        return d
-
-    def latest(self) -> int:
-        f = self.hi
-        for c in self.downs:
-            if c.start < f:
-                f = c.start
-        return f
-
-
 class _Compactor:
     """Sweep machinery over one working copy of the core lanes.
 
@@ -203,7 +185,7 @@ class _Compactor:
     Invariant: every lane is sorted by start and no two of its entries
     overlap.  So the hole before an entry starts at its predecessor's
     finish, and a lane's idle tail starts at its last entry's finish.
-    Every entry is linked to its job's parents and children (see _Linked),
+    Every entry is linked to its job's parents and children (see Placement),
     so a move needs no bookkeeping beyond the lanes themselves.
     Alongside each lane, movers holds the same entries in nondecreasing
     width, so a fill's walk of a lane stops at the first mover too wide
@@ -214,12 +196,12 @@ class _Compactor:
     def __init__(self, cores: Sequence[Sequence[Placement]], ts: TaskSet):
         self.horizon = ts.hyperperiod
         self.lanes = []
-        jobs: dict[tuple[int, int], dict[int, _Linked]] = {}  # (dag, job) -> node id -> entry
+        jobs: dict[tuple[int, int], dict[int, Placement]] = {}  # (dag, job) -> node id -> entry
         new = object.__new__  # copies without a call to Placement.__init__ per entry
         for lane in cores:
             copied = []
             for p in lane:
-                q = new(_Linked)
+                q = new(Placement)
                 q.dag_id = p.dag_id
                 q.node_id = p.node_id
                 q.job = p.job
@@ -251,11 +233,11 @@ class _Compactor:
     def used(self) -> int:
         return sum(1 for lane in self.lanes if lane)
 
-    def save(self) -> list[list[tuple[_Linked, int]]]:
+    def save(self) -> list[list[tuple[Placement, int]]]:
         """Each lane's (entry, start) pairs: the layout, for restore."""
         return [[(p, p.start) for p in lane] for lane in self.lanes]
 
-    def restore(self, saved: list[list[tuple[_Linked, int]]]) -> None:
+    def restore(self, saved: list[list[tuple[Placement, int]]]) -> None:
         """Put every entry back at its saved lane and start."""
         for lane in saved:
             for p, start in lane:
@@ -269,7 +251,7 @@ class _Compactor:
         at: int,
         gap_start: int,
         gap_end: int,
-        cands: list[tuple[list[_Linked], int]],
+        cands: list[tuple[list[Placement], int]],
     ) -> bool:
         """Migrate the preferred fitting entry from a higher core into the hole.
 
@@ -298,14 +280,9 @@ class _Compactor:
         is skipped before its window and links are read: the key starts
         with the rank, so its key would be larger than the best key.  The
         best rank starts at top_rank, the largest rank in the compactor.
-
-        A mover that passes those tests has its links read in place, not
-        through earliest() and latest(): its earliest start is the latest
-        of lo and its parents' finishes, and the first child starting
-        before its finish rejects it.
         """
         room = gap_end - gap_start
-        best: _Linked | None = None
+        best: Placement | None = None
         best_core = -1
         best_key: tuple | None = None
         best_rank = self.top_rank
@@ -375,7 +352,10 @@ class _Compactor:
                         n += 1
                     elif shift_any or gap_start == 0:
                         # slide temp to its earliest legal start, if that is earlier
-                        target = temp.earliest()
+                        target = temp.lo
+                        for q in temp.ups:
+                            if q.finish > target:
+                                target = q.finish
                         if target < gap_start:
                             target = gap_start
                         if target < gap_end:
@@ -407,9 +387,11 @@ class _Compactor:
         order.sort(reverse=True)
         head = [self.horizon] * len(self.lanes)  # new start of each lane's successor
         for _, ci, p in order:
-            limit = p.latest()  # at most its deadline, so within the horizon
-            if head[ci] < limit:
-                limit = head[ci]
+            # the earliest of hi, the children's starts and the successor's new start
+            limit = head[ci] if head[ci] < p.hi else p.hi
+            for c in p.downs:
+                if c.start < limit:
+                    limit = c.start
             p.start, p.finish = limit - p.width, limit
             head[ci] = p.start
 
@@ -459,12 +441,12 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     is reached, with the same lanes the rejected trials would have left.
     Emptied cores are dropped and the rest renumbered.
     The input is never mutated; busy time and the entry multiset are
-    preserved.  The returned placements are the compactor's working copies
-    with their links to parent and child copies dropped: the links form
-    reference cycles, and with them in place one pass of the default sweep
-    left about 100k objects, and 55 ms of collections, to the cyclic
-    garbage collector.  Without them the copies are freed by reference
-    counting.
+    preserved.  The returned placements are the compactor's working
+    copies, plain Placements with their links (ups and downs) cleared to
+    None: the links form reference cycles, and with them in place one pass
+    of the default sweep left about 100k objects, and 55 ms of
+    collections, to the cyclic garbage collector.  Without them the copies
+    are freed by reference counting.
 
     Every input lane must be sorted by start with no overlapping entries,
     and the layout legal (as primary_schedule and extend produce it).

@@ -233,6 +233,11 @@ def test_summary_matches_rows():
             assert s.proposed_utilization == sum(utils) / len(utils)
 
 
+def busy(mp) -> int:
+    """The busy ticks of a schedule map, summed over its entries."""
+    return sum(e.finish - e.start for e in mp.entries())
+
+
 def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
     """_run_collection as it was before baseline runs stopped once decided and
     served smaller core counts: one full simulation, and one validation of
@@ -244,7 +249,7 @@ def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
     if res.success:
         assert validate_schedule(res.schedule, ts).ok
         if used:
-            p_util = sum(res.schedule.busy_per_core) / (used * ts.hyperperiod)
+            p_util = busy(res.schedule) / (used * ts.hyperperiod)
     rows = []
     for m in ms:
         p_ok = res.reason != DAG_INFEASIBLE and used <= m
@@ -257,7 +262,7 @@ def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
         if sim.success:
             assert validate_schedule(sim.trace, ts).ok
             if b_used:
-                b_util = sum(sim.trace.busy_per_core) / (b_used * ts.hyperperiod)
+                b_util = busy(sim.trace) / (b_used * ts.hyperperiod)
         rows.append(Row(c, m, BASELINE, sim.success, b_used, b_util, ts.hyperperiod, cfg.seed))
     return rows, redraws
 
@@ -302,7 +307,7 @@ def test_utilization_accounting():
         res = schedule_taskset(ts, 4)
         if res.success:
             demand = sum((ts.hyperperiod // d.period) * d.total_work for d in ts.dags)
-            assert sum(res.schedule.busy_per_core) == demand
+            assert busy(res.schedule) == demand
 
 
 def test_report_round_trips(tmp_path):

@@ -223,6 +223,32 @@ def test_edges_that_are_not_a_list_are_usage_error(tmp_path, capsys):
         assert err == "error: dag 1: edges must be a list\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--in", "deep"],
+    ["schedule", "--in", "deep", "--cores", "4"],
+    ["simulate", "--in", "deep", "--cores", "4"],
+    ["validate", "--in", "deep", "--schedule", "sched"],
+    ["validate", "--in", "ts", "--schedule", "deep"],
+    ["render", "--in", "deep", "--schedule", "sched"],
+    ["render", "--in", "ts", "--schedule", "deep"],
+    ["gen", "--config", "deep", "--seed", "0"],
+    ["bench", "--config", "deep", "--seed", "0", "--cores", "4", "--out", "report"],
+], ids=["analyze", "schedule", "simulate", "validate-in", "validate-schedule", "render-in",
+        "render-schedule", "gen", "bench"])
+def test_deeply_nested_document_is_usage_error(tmp_path, capsys, command):
+    # a document nested past the JSON decoder's recursion limit is invalid
+    # JSON: exit 2 with one error line, not 1 with a RecursionError
+    ts_path, ts = write_diamond(tmp_path)
+    sched = tmp_path / "sched.json"
+    sched.write_text(dumps_schedule(schedule_taskset(ts, 1).schedule))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"deep": deep, "ts": ts_path, "sched": sched, "report": tmp_path / "report"}
+    assert run_cli([str(paths.get(a, a)) for a in command]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid JSON: "), err
+
+
 @pytest.mark.parametrize("config", [{"period_menu": 5}, {"nodes_per_dag": [5]}])
 def test_gen_config_with_a_malformed_list_is_usage_error(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -301,7 +301,7 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
     # Counted over every fill of the pinned ladder set of 20 DAGs, as reads
     # of a mover's ups slot: a fill reads it once per mover it checks.
     ts, _ = generate_taskset(GenConfig(collections=1, dags_per_collection=20, seed=3), 0)
-    fill, ups = scheduler._Compactor._fill, scheduler._Linked.__dict__["ups"]
+    fill, ups = scheduler._Compactor._fill, scheduler.Placement.__dict__["ups"]
     counts = {"in_window": 0, "links_read": 0}
     filling = [False]
 
@@ -322,7 +322,7 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
         return ups.__get__(self)
 
     monkeypatch.setattr(scheduler._Compactor, "_fill", counted_fill)
-    monkeypatch.setattr(scheduler._Linked, "ups", property(counted_ups, ups.__set__))
+    monkeypatch.setattr(scheduler.Placement, "ups", property(counted_ups, ups.__set__))
     assert scheduler.schedule_taskset(ts, 1 << 20).cores_used == 18
     # without the skip every mover in its window has its links read
     assert counts == {"in_window": 12038, "links_read": 5497}

@@ -121,6 +121,15 @@ def test_load_errors_carry_locus():
         load_taskset(doc([{"id": 1, "period": 5, "nodes": two_nodes, "edges": [[1, "2"]]}]))
 
 
+@pytest.mark.parametrize("load", [load_taskset, load_schedule])
+def test_load_of_a_deeply_nested_document_is_invalid_json(load):
+    # json.loads raises RecursionError, not JSONDecodeError, on a document
+    # nested past its recursion limit; 100000 levels is past it on every
+    # Python the project supports
+    with pytest.raises(TaskSetError, match="invalid JSON"):
+        load("[" * 100_000 + "]" * 100_000)
+
+
 @pytest.mark.parametrize("edges", [5, None])
 def test_load_rejects_edges_that_are_not_a_list(edges):
     dag = {"id": 1, "period": 5, "nodes": [{"id": 1, "wcet": 1}], "edges": edges}

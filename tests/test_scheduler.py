@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from dagsched.scheduler import (
     DAG_INFEASIBLE,
     NOT_ENOUGH_CORES,
     DagInfeasibleError,
+    Placement,
     compact,
     extend,
     primary_schedule,
@@ -186,6 +188,18 @@ def test_compact_does_not_mutate_input(diamond, diamond_ts):
     snapshot = by_node(lanes)
     assert len(compact(lanes, ts)) < len(lanes)
     assert by_node(lanes) == snapshot
+
+
+def test_compact_returns_plain_placements_without_links(diamond, diamond_ts):
+    # the working copies come back as the type compact's signature names,
+    # with the links to their parent and child copies cleared
+    ts, _ = generate_taskset(GenConfig(), 5)
+    for lanes, tset in ((primary_schedule(diamond), diamond_ts),
+                        (stack_extended_schedules(ts), ts)):
+        for lane in compact(lanes, tset):
+            for p in lane:
+                assert type(p) is Placement
+                assert p.ups is None and p.downs is None
 
 
 def test_compact_preserves_entries_and_core_count(diamond_ts):
@@ -383,3 +397,43 @@ def test_huge_period_single_node():
     entry = next(iter(res.schedule.entries()))
     assert entry.finish - entry.start == 5
     assert validate_schedule(res.schedule, ts).ok
+
+
+@pytest.mark.parametrize(
+    "cfg,collections,cores,digest",
+    [
+        (GenConfig(seed=1), 200, 1032,
+         "09ba3661d138ad74b788329a1ecd1f458f1cf9639bf561b7d9536e821380b99a"),
+        (GenConfig(seed=1009), 200, 1067,
+         "c293e78e39090334d4f6f4f242145802171d3f5ffa79aff879bb19ec9a94a7e0"),
+        (GenConfig(collections=1, dags_per_collection=5, seed=3), 1, 5,
+         "6c3c10a08bcfedda8eff97cfd7c701498eb153db51cfa372f2e511710f3439e2"),
+        (GenConfig(collections=1, dags_per_collection=10, seed=3), 1, 10,
+         "d1909186bc8cf34af098444a44049f2a4b0940eb72cd84e8ef48b99676422acd"),
+        (GenConfig(collections=1, dags_per_collection=20, seed=3), 1, 18,
+         "cc02ef251b9185debc10bd49149ef40e5dc673ef684f0c55a059c72a8ca502c2"),
+        (GenConfig(collections=1, dags_per_collection=40, seed=3), 1, 32,
+         "6b255815c565e75931a560774e62658f31b2b431092925a1f027fe386de81893"),
+        (GenConfig(collections=4, period_menu=(40, 50, 100, 400), seed=1), 4, 19,
+         "d07aba0047f1b49cb6fa356ccac33e076063289797b332f61ace4ea50c5671af"),
+        (GenConfig(collections=4, period_menu=(40, 50, 100, 800), seed=1), 4, 19,
+         "805b7239a2e7949f4c470354107255ba88824cde0589a5bbb546d198e2740b07"),
+        (GenConfig(collections=4, period_menu=(40, 50, 100, 1600), seed=1), 4, 19,
+         "1cef2e6cc3a2596ad81113e83e995507dab45e640c3a14b27cbf38a171626466"),
+    ],
+    ids=["seed-1", "seed-1009", "ladder-5", "ladder-10", "ladder-20", "ladder-40",
+         "hyperperiod-400", "hyperperiod-800", "hyperperiod-1600"],
+)
+def test_schedule_documents_are_pinned(cfg, collections, cores, digest):
+    # The schedule documents the pipeline writes, unbounded by the core
+    # budget: the core total over the collections, and the sha256 of their
+    # documents concatenated in collection order.  A change to placement or
+    # compaction that means to keep every output must keep both.
+    h = hashlib.sha256()
+    total = 0
+    for c in range(collections):
+        res = schedule_taskset(generate_taskset(cfg, c)[0], 1 << 20)
+        assert res.success, c
+        total += res.cores_used
+        h.update(dumps_schedule(res.schedule).encode())
+    assert (total, h.hexdigest()) == (cores, digest)
