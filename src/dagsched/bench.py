@@ -31,6 +31,7 @@ from .model import (
 from .scheduler import DAG_INFEASIBLE, schedule_taskset
 
 MAX_DRAWS = 1000  # attempts per DAG before the generator gives up
+_EDGE_BLOCK = 1 << 16  # edge draws skipped per getrandbits call (512 KiB of bits)
 
 PROPOSED = "proposed"
 BASELINE = "gedf-np"
@@ -133,7 +134,13 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None
     """One random DAG, or None when its critical path exceeds its period.
 
     The over-long draw is rejected before build_dag, after the same random
-    calls a kept draw makes, so the stream of later draws is unchanged.
+    bits a kept draw consumes, so the stream of later draws is unchanged.
+    Once a path exceeds the longest period in the menu no period can fit:
+    the draw stops there, consumes the edge draws it has left in blocks of
+    getrandbits (CPython's random() reads two 32-bit words, getrandbits(k)
+    reads ceil(k / 32)), draws its period and is rejected.  A config whose
+    DAGs cannot fit is then refused in a fraction of the time.
+
     The longest path is computed here even though build_dag computes it
     again for a kept draw: about half the draws are rejected, and building
     every draw through build_dag and rejecting on its cp_length made the
@@ -164,10 +171,21 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None
     # start[i] + wcets[i] is the heaviest path ending at i.
     start = [0] * (n + 1)
     cp_length = 0
+    longest = max(cfg.period_menu)
     for i in range(1, n + 1):
         finish = start[i] + wcets[i]
         if finish > cp_length:
             cp_length = finish
+            if finish > longest:  # tested only here: cp_length <= longest so far
+                # the (n - i)(n - i + 1) / 2 edge draws of nodes i..n, in
+                # blocks so that a huge DAG's bits are never held at once
+                left = (n - i) * (n - i + 1) // 2
+                while left:
+                    block = min(left, _EDGE_BLOCK)
+                    getrandbits(64 * block)
+                    left -= block
+                below(len(cfg.period_menu))
+                return None
         for j in range(i + 1, n + 1):
             if uniform() < edge_prob:
                 edges.append((i, j))
@@ -266,16 +284,13 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
     proposed row then the baseline row) and its redraw count.  The proposed
     scheduler's placement does not depend on the core budget (the budget
     only gates acceptance), so the collection is scheduled once at max(ms)
-    and compared against every m.  The baseline is simulated from the
-    largest m down, each run stopped once its row is decided (a miss seen
-    and all m cores taken).  A run that ends having taken at most a smaller
-    m's cores never found work waiting while that many cores were taken
-    and none was free, so capped at that m it would make the same
-    dispatches: its row is that m's row too, and is reused.  Every claimed success is re-checked by the
-    validator, and a validation failure raises ExperimentError naming the
-    collection for replay.  A schedule that validates runs every job once
-    for its wcet, so both algorithms' busy time is the task set's work over
-    the hyperperiod, counted once.
+    and compared against every m.  The baseline is simulated once per m,
+    each run stopped once its row is decided (a miss seen and all m cores
+    taken).  Every claimed success is re-checked by the validator, and a
+    validation failure raises ExperimentError naming the collection for
+    replay.  A schedule that validates runs every job once for its wcet, so
+    both algorithms' busy time is the task set's work over the hyperperiod,
+    counted once.
     """
     ts, redraws = generate_taskset(cfg, c)
     busy = sum(d.total_work * (ts.hyperperiod // d.period) for d in ts.dags)
@@ -286,26 +301,20 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
         _validate(res.schedule, ts, cfg, c, "scheduler output")
         if used:
             p_util = busy / (used * ts.hyperperiod)
-    baseline: dict[int, tuple[bool, int, float | None]] = {}
-    last = None
-    for m in sorted(ms, reverse=True):
-        if last is None or last[1] > m:
-            sim = gedf_np_simulate(ts, m, stop_when_decided=True)
-            b_used = sim.trace.used_cores
-            b_util = None
-            if sim.success:
-                _validate(sim.trace, ts, cfg, c, "baseline trace")
-                if b_used:
-                    b_util = busy / (b_used * ts.hyperperiod)
-            last = (sim.success, b_used, b_util)
-        baseline[m] = last
     rows = []
     for m in ms:
         p_ok = res.reason != DAG_INFEASIBLE and used <= m
         rows.append(
             Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
         )
-        rows.append(Row(c, m, BASELINE, *baseline[m], ts.hyperperiod, cfg.seed))
+        sim = gedf_np_simulate(ts, m, stop_when_decided=True)
+        b_used = sim.trace.used_cores
+        b_util = None
+        if sim.success:
+            _validate(sim.trace, ts, cfg, c, "baseline trace")
+            if b_used:
+                b_util = busy / (b_used * ts.hyperperiod)
+        rows.append(Row(c, m, BASELINE, sim.success, b_used, b_util, ts.hyperperiod, cfg.seed))
     return rows, redraws
 
 
@@ -366,14 +375,63 @@ def dumps_report(report: ExperimentReport) -> str:
     return json.dumps(report_doc(report), indent=2) + "\n"
 
 
+_KINDS = {
+    "int": int, "bool": bool, "str": str, "float": float,
+    "float | None": (float, type(None)), "list": list, "object": dict,
+}
+
+
+def _field(doc: dict, name: str, kind: str, where: str = "report field "):
+    """doc[name] if it is present and a JSON value of the given kind.
+
+    kind is a key of _KINDS, which covers the annotations of Row and
+    MSummary; a bool is not an int here.  Otherwise raises ValueError
+    naming ``where + name``.
+    """
+    if name not in doc:
+        raise ValueError(f"{where}{name}: missing")
+    value = doc[name]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _KINDS[kind]):
+        raise ValueError(f"{where}{name}: must be {kind}, got {value!r}")
+    return value
+
+
+def _records(doc: dict, name: str, cls) -> tuple:
+    """doc[name], a list of objects, as one cls per object."""
+    out = []
+    for i, item in enumerate(_field(doc, name, "list")):
+        where = f"report field {name}[{i}]"
+        if not isinstance(item, dict):
+            raise ValueError(f"{where}: must be object, got {item!r}")
+        out.append(cls(**{f.name: _field(item, f.name, f.type, where + ".") for f in fields(cls)}))
+    return tuple(out)
+
+
 def load_report(data: bytes | str) -> ExperimentReport:
-    doc = json.loads(data)
+    """Parse a report document.
+
+    Malformed JSON raises ValueError("invalid JSON: ..."), and a missing or
+    ill-typed field a ValueError naming the field.
+    """
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("report document must be an object")
+    config = _field(doc, "config", "object")
+    try:
+        config = GenConfig.from_doc(config)
+    except ValueError as exc:
+        raise ValueError(f"report field config: {exc}") from exc
     return ExperimentReport(
-        config=GenConfig.from_doc(doc["config"]),
-        core_counts=tuple(doc["core_counts"]),
-        regenerated=doc["regenerated"],
-        summary=tuple(MSummary(**s) for s in doc["summary"]),
-        rows=tuple(Row(**r) for r in doc["rows"]),
+        config=config,
+        core_counts=tuple(
+            _as_int(m, "report field core_counts:") for m in _field(doc, "core_counts", "list")
+        ),
+        regenerated=_field(doc, "regenerated", "int"),
+        summary=_records(doc, "summary", MSummary),
+        rows=_records(doc, "rows", Row),
     )
 
 

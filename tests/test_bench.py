@@ -85,6 +85,7 @@ def test_generation_is_deterministic():
 REPLAY_SHAPED = GenConfig(
     dags_per_collection=5, edge_prob=0.15, nodes_per_dag=(30, 60), period_menu=(100, 200), seed=1
 )
+DOOMED = GenConfig(nodes_per_dag=(10, 40), period_menu=(50, 100), seed=2)
 
 
 @pytest.mark.parametrize(
@@ -107,8 +108,16 @@ REPLAY_SHAPED = GenConfig(
             "aa6efb98718fe1c0f8dc3f5b7c644113ede5df6880bedfbfa960a2830e5b41fd",
             "2a76282577612ef68a9e8965d496f5aa82f31956902bf9a5c29c2838dcb042a0",
         ]),
+        # most rejected draws here pass the longest period before their
+        # last edge is drawn, so they skip the rest of their draws
+        (DOOMED, [
+            "2d5cddf29ad7371d3f569fb6e2b3632e7546e9c5db57ea9cb1e0ab3330eab6e1",
+            "24c4f86458236e07e3f4c437e856c2553a2f9a0792eb1288b51e5779702ba1c0",
+            "96f6fe1726ba43c8f25bdc5b9a6f218461982ec187f3c378fdacdd260a300e17",
+            "8030e6573002646ec0f005b9cca778df98d34501011b0b84ba1a64416dcef20d",
+        ]),
     ],
-    ids=["default", "replay-shaped", "width-1"],
+    ids=["default", "replay-shaped", "width-1", "doomed"],
 )
 def test_generated_documents_are_pinned(cfg, digests):
     # Python does not promise the same randint/choice sequences across
@@ -116,6 +125,48 @@ def test_generated_documents_are_pinned(cfg, digests):
     # the project supports must write these exact documents.
     docs = [dumps_taskset(generate_taskset(cfg, c)[0]) for c in range(len(digests))]
     assert [hashlib.sha256(d.encode()).hexdigest() for d in docs] == digests
+
+
+def draw_every_edge(cfg, rng, dag_id):
+    """_draw_dag as it was before draws that cannot fit stopped early: every
+    edge is drawn, then the period.  Returns the DAG and whether it fits."""
+    def below(n):
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return r
+
+    lo, hi = cfg.nodes_per_dag
+    n = lo + below(hi - lo + 1)
+    lo, hi = cfg.wcet_range
+    wcets = {nid: lo + below(hi - lo + 1) for nid in range(1, n + 1)}
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if rng.random() < cfg.edge_prob]
+    period = cfg.period_menu[below(len(cfg.period_menu))]
+    dag = build_dag(dag_id, period, wcets, edges)
+    return dag, dag.cp_length <= period
+
+
+@pytest.mark.parametrize("cfg,draws", [
+    (DOOMED, 60),
+    (GenConfig(nodes_per_dag=(300, 300)), 3),
+    (GenConfig(nodes_per_dag=(400, 400), edge_prob=1.0, wcet_range=(60, 60)), 2),
+], ids=["doomed", "300-nodes", "two-blocks"])
+def test_a_draw_that_cannot_fit_leaves_the_stream_where_a_full_draw_does(cfg, draws):
+    # the 400-node chain of wcet 60 passes period 100 at node 2, leaving
+    # 79,401 edge draws: more than one block of skipped bits
+    ours, theirs = (bench.stream(1, "dag", 1) for _ in range(2))
+    doomed = 0
+    for _ in range(draws):
+        got = bench._draw_dag(cfg, ours, 1)
+        want, fits = draw_every_edge(cfg, theirs, 1)
+        assert ours.getstate() == theirs.getstate()
+        assert (got is not None) == fits
+        if fits:
+            assert dumps_taskset(TaskSet.build([got])) == dumps_taskset(TaskSet.build([want]))
+        doomed += want.cp_length > max(cfg.period_menu)
+    assert doomed
 
 
 def test_config_round_trip_and_validation():
@@ -239,9 +290,9 @@ def busy(mp) -> int:
 
 
 def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
-    """_run_collection as it was before baseline runs stopped once decided and
-    served smaller core counts: one full simulation, and one validation of
-    each success, per core count, in the order given."""
+    """_run_collection as it was before baseline runs stopped once decided:
+    one full simulation, and one validation of each success, per core
+    count, in the order given."""
     ts, redraws = generate_taskset(cfg, c)
     res = schedule_taskset(ts, max(ms))
     used = res.cores_used
@@ -267,8 +318,8 @@ def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
     return rows, redraws
 
 
-@pytest.mark.parametrize("ms,reused", [((4, 8, 16), 7), ((3, 4, 5, 6), 0), ((16, 8, 4), 7)])
-def test_collection_rows_match_one_full_run_per_core_count(ms, reused, monkeypatch):
+@pytest.mark.parametrize("ms", [(4, 8, 16), (3, 4, 5, 6), (16, 8, 4)])
+def test_collection_rows_match_one_full_run_per_core_count(ms, monkeypatch):
     runs = []
     simulate = bench.gedf_np_simulate
 
@@ -282,9 +333,9 @@ def test_collection_rows_match_one_full_run_per_core_count(ms, reused, monkeypat
     collections = 30
     for c in range(collections):
         assert _run_collection(cfg, ms, c) == one_full_run_per_core_count(cfg, ms, c), c
-    # rows reused from a run on 16 cores that took at most 8, and runs that
-    # stopped once they had missed with every core taken
-    assert len(runs) == collections * len(ms) - reused
+    # one run per core count, some stopped once they had missed with every
+    # core taken
+    assert len(runs) == collections * len(ms)
     assert any(runs)
 
 
@@ -324,6 +375,45 @@ def test_report_round_trips(tmp_path):
     header = csv_text.splitlines()[1]
     assert header == "collection,m,algorithm,success,cores_used,utilization,hyperperiod,seed"
     assert len(csv_text.splitlines()) == 2 + len(report.rows)
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"rows": [}'],
+                         ids=["nested-too-deeply", "bad-json"])
+def test_report_of_invalid_json_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^invalid JSON: "):
+        load_report(text)
+
+
+def edited_report(edit) -> str:
+    doc = json.loads(dumps_report(run_experiment(TINY, [1, 2])))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda d: d.pop("regenerated"), "regenerated"),
+    (lambda d: d.pop("config"), "config"),
+    (lambda d: d["rows"][3].pop("success"), r"rows\[3\]\.success"),
+    (lambda d: d["summary"][1].pop("baseline_utilization"), r"summary\[1\]\.baseline_utilization"),
+])
+def test_report_missing_a_field_names_it(edit, field):
+    with pytest.raises(ValueError, match=f"^report field {field}: missing$"):
+        load_report(edited_report(edit))
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda d: d.update(rows={}), r"rows: must be list"),
+    (lambda d: d.update(core_counts=[1, True]), r"core_counts: must be an integer"),
+    (lambda d: d["config"].update(seed="9"), r"config: config field seed: must be an integer"),
+    (lambda d: d["rows"].__setitem__(2, [1]), r"rows\[2\]: must be object"),
+    (lambda d: d["rows"][0].update(success=1), r"rows\[0\]\.success: must be bool"),
+    (lambda d: d["rows"][1].update(cores_used=True), r"rows\[1\]\.cores_used: must be int"),
+    (lambda d: d["summary"][0].update(proposed_success_rate="1"),
+     r"summary\[0\]\.proposed_success_rate: must be float"),
+])
+def test_report_with_an_ill_typed_field_names_it(edit, field):
+    with pytest.raises(ValueError, match=f"^report field {field}, got "):
+        load_report(edited_report(edit))
 
 
 def test_loaded_report_survives_spot_check(tmp_path):
