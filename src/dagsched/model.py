@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -122,7 +121,7 @@ class TaskSet:
 
     build admits at most JOB_BUDGET job releases over the hyperperiod: one
     per node and period, and one per period for a DAG without nodes, whose
-    releases the validator and the renderer still walk.
+    releases the renderer's gridlines still mark.
     """
 
     dags: tuple[DagSpec, ...]
@@ -134,23 +133,6 @@ class TaskSet:
 
     def dag(self, dag_id: int) -> DagSpec:
         return self._by_id[dag_id]
-
-    @cached_property
-    def job_table(self) -> dict[tuple[int, int, int], tuple[int, int, int]]:
-        """(dag, node, job) -> (wcet, release, deadline) of every job instance.
-
-        Built on first use and kept, since the experiment validates several
-        schedules of one task set; callers must not modify it.
-        """
-        jobs = {}
-        for dag in self.dags:
-            period = dag.period
-            windows = [(k * period, (k + 1) * period) for k in range(self.hyperperiod // period)]
-            for node in dag.nodes:
-                dag_id, node_id, wcet = node.dag_id, node.node_id, node.wcet
-                for k, (release, deadline) in enumerate(windows):
-                    jobs[(dag_id, node_id, k)] = (wcet, release, deadline)
-        return jobs
 
     @classmethod
     def build(cls, dags: Iterable[DagSpec]) -> "TaskSet":
@@ -330,6 +312,14 @@ def _locus(e: ScheduleEntry, core_idx: int) -> str:
     return f"dag {e.dag_id} node {e.node_id} job {e.job} on core {core_idx}"
 
 
+def _integral(job) -> int | None:
+    """The int that job equals (1 for True or 1.0), or None."""
+    try:
+        return int(job) if int(job) == job else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
     """Check a schedule map against every rule of the task model.
 
@@ -339,30 +329,40 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
     children start.  Violations are collected exhaustively; entries that
     match no known job instance (or duplicate one) are reported as
     ``unknown_node`` and skipped by the remaining checks.
+
+    Jobs are read off the DAGs: one pass files each entry into a slot per
+    (DAG, job), node id -> entry, and only short slots are walked.
     """
     violations: list[Violation] = []
-    expected = ts.job_table
-    seen: dict[tuple[int, int, int], ScheduleEntry] = {}
+    # dag id -> (period, nodes by id, releases, job -> slot)
+    known = {d.dag_id: (d.period, d._by_id, ts.hyperperiod // d.period, {}) for d in ts.dags}
     for core_idx, lane in enumerate(mp.cores):
         for e in lane:
             dag_id, node_id, job, _, start, finish = e
-            key = (dag_id, node_id, job)
-            spec = expected.get(key)
-            if spec is None:
+            spec = known.get(dag_id)
+            node = spec and spec[1].get(node_id)
+            if type(job) is not int:
+                job = _integral(job)
+            if node is None or job is None or not 0 <= job < spec[2]:
                 violations.append(
                     Violation(UNKNOWN_NODE, f"{_locus(e, core_idx)}: no such job instance")
                 )
                 continue
-            if key in seen:
+            slot = spec[3].get(job)
+            if slot is None:
+                slot = spec[3][job] = {}
+            elif node.node_id in slot:
                 violations.append(
                     Violation(UNKNOWN_NODE, f"{_locus(e, core_idx)}: duplicate placement")
                 )
                 continue
-            seen[key] = e
-            wcet, release, deadline = spec
-            if finish - start != wcet:
+            slot[node.node_id] = e
+            release = job * spec[0]
+            deadline = release + spec[0]
+            if finish - start != node.wcet:
                 violations.append(Violation(
-                    DURATION, f"{_locus(e, core_idx)}: runs {finish - start} ticks, wcet is {wcet}"
+                    DURATION,
+                    f"{_locus(e, core_idx)}: runs {finish - start} ticks, wcet is {node.wcet}",
                 ))
             if start < release:
                 violations.append(Violation(
@@ -372,13 +372,6 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
                 violations.append(Violation(
                     DEADLINE, f"{_locus(e, core_idx)}: finishes {finish} after deadline {deadline}",
                 ))
-
-    if len(seen) < len(expected):
-        for dag_id, node_id, k in expected:
-            if (dag_id, node_id, k) not in seen:
-                violations.append(
-                    Violation(MISSING_JOB, f"dag {dag_id} node {node_id} job {k}: never scheduled")
-                )
 
     # Per-core overlap: compare each entry against the latest finish so far
     # so nested intervals are caught, not just adjacent ones.
@@ -400,24 +393,31 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
             if e.finish > prev.finish:
                 prev = e
 
-    # Same-job precedence, checked only where both endpoints were placed.
+    # Per DAG: a job whose slot is short of the node count misses nodes,
+    # and same-job precedence is checked only where both ends were placed.
     for dag in ts.dags:
-        dag_id = dag.dag_id
-        for k in range(ts.hyperperiod // dag.period):
-            for node in dag.nodes:
-                pe = seen.get((dag_id, node.node_id, k))
+        dag_id, width = dag.dag_id, len(dag.nodes)
+        _, nodes, releases, jobs = known[dag_id]
+        for k in range(releases) if width else ():
+            slot = jobs.get(k, ())
+            if len(slot) < width:
+                violations.extend(
+                    Violation(MISSING_JOB, f"dag {dag_id} node {nid} job {k}: never scheduled")
+                    for nid in nodes if nid not in slot
+                )
+        arcs = [(n.node_id, n.children) for n in dag.nodes if n.children]
+        for k, slot in jobs.items():
+            for node_id, children in arcs:
+                pe = slot.get(node_id)
                 if pe is None:
                     continue
-                for child in node.children:
-                    ce = seen.get((dag_id, child, k))
+                for child in children:
+                    ce = slot.get(child)
                     if ce is not None and pe.finish > ce.start:
-                        violations.append(
-                            Violation(
-                                PRECEDENCE,
-                                f"dag {dag_id} job {k}: node {node.node_id} finishes "
-                                f"{pe.finish} after child {child} starts {ce.start}",
-                            )
-                        )
+                        violations.append(Violation(
+                            PRECEDENCE, f"dag {dag_id} job {k}: node {node_id} finishes "
+                            f"{pe.finish} after child {child} starts {ce.start}",
+                        ))
 
     violations.sort(key=lambda v: (v.kind, v.where))
     return ValidationReport(ok=not violations, violations=tuple(violations))

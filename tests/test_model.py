@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 
@@ -37,6 +38,7 @@ from helpers import (
     reference_taskset_doc,
     single_node_dag,
 )
+from reference_validate import reference_validate_schedule
 
 
 def doc(dags):
@@ -492,8 +494,8 @@ def test_job_budget_is_inclusive():
 
 
 def test_job_budget_counts_releases_of_a_dag_without_nodes():
-    # the validator and the renderer walk every release of a node-less DAG,
-    # so each of its periods counts as one release
+    # the renderer's gridlines mark every release of a node-less DAG, so
+    # each of its periods counts as one release
     def with_empty_dag(p):
         return doc([
             {"id": 1, "period": 1, "nodes": []},
@@ -506,6 +508,19 @@ def test_job_budget_counts_releases_of_a_dag_without_nodes():
                             r"\(dag 1: 1000000, dag 2: 1\)"
     ):
         load_taskset(with_empty_dag(JOB_BUDGET))
+
+
+def test_validator_allocates_nothing_per_release_of_a_dag_without_nodes():
+    # 999999 releases of a node-less DAG hold no job, so the validator
+    # neither keeps nor walks anything for them
+    ts = load_taskset(doc([
+        {"id": 1, "period": 1, "nodes": []},
+        {"id": 2, "period": 999999, "nodes": [{"id": 1, "wcet": 1}]},
+    ]))
+    mp = ScheduleMap.from_entries(1, [ScheduleEntry(2, 1, 0, 0, 0, 1)])
+    with allocation_limit():
+        report = validate_schedule(mp, ts)
+    assert report.ok
 
 
 def test_schedule_core_count_is_bounded_before_allocating():
@@ -612,3 +627,97 @@ def test_validator_catches_targeted_corruptions():
             checked["precedence"] += 1
 
     assert all(count > 0 for count in checked.values()), checked
+
+
+# --- equality with the reference validator ------------------------------------
+
+
+def _corrupt(rng, ts, lanes):
+    """A copy of lanes with one seeded corruption applied."""
+    lanes = [list(lane) for lane in lanes]
+    lane = rng.choice([lane for lane in lanes if lane])
+    j = rng.randrange(len(lane))
+    e = lane[j]
+    period = ts.dag(e.dag_id).period if e.dag_id <= len(ts.dags) else 1
+    kind = rng.choice(("shift", "stretch", "drop", "duplicate", "ghost_dag", "ghost_node",
+                       "job_before", "job_after", "move", "shuffle", "nest"))
+    if kind == "shift":
+        d = rng.choice((-3, -1, 1, 2, period))
+        lane[j] = e._replace(start=e.start + d, finish=e.finish + d)
+    elif kind == "stretch":
+        lane[j] = e._replace(finish=e.finish + rng.choice((-1, 1, 3)))
+    elif kind == "drop":
+        del lane[j]
+    elif kind == "duplicate":
+        lanes[rng.randrange(len(lanes))].append(e._replace(start=e.start + 1, finish=e.finish + 1))
+    elif kind == "ghost_dag":
+        lane[j] = e._replace(dag_id=len(ts.dags) + 1)
+    elif kind == "ghost_node":
+        lane[j] = e._replace(node_id=999)
+    elif kind == "job_before":
+        lane[j] = e._replace(job=-1)
+    elif kind == "job_after":
+        lane[j] = e._replace(job=ts.hyperperiod // period)
+    elif kind == "move":  # the entry keeps its core field on another lane
+        lanes[rng.randrange(len(lanes))].append(lane.pop(j))
+    elif kind == "shuffle":
+        rng.shuffle(lane)
+    else:  # a long entry over several others of its lane
+        lane.insert(0, e._replace(start=e.start - 2, finish=e.finish + 3 * period))
+    return lanes
+
+
+def _oracle_corpus():
+    """(task set, schedule map) pairs to validate.
+
+    Scheduler outputs and full GEDF-NP traces on ceil(U) cores (deadline
+    misses included) of default and replay-shaped sets, each clean and under
+    seeded corruptions, against the set and against the set plus a DAG
+    without nodes.  Lanes are built directly, so they may be unsorted and
+    hold entries whose core field names another lane.
+    """
+    replay = GenConfig(collections=3, dags_per_collection=5, edge_prob=0.15,
+                       nodes_per_dag=(30, 60), period_menu=(100, 200), seed=1)
+    sets = [generate_taskset(GenConfig(), c)[0] for c in range(10)]
+    sets += [generate_taskset(replay, c)[0] for c in range(replay.collections)]
+    rng = random.Random(2525)
+    for ts in sets:
+        bound = math.ceil(sum(dag.utilization for dag in ts.dags))
+        maps = [gedf_np_simulate(ts, bound).trace, schedule_taskset(ts, 64).schedule]
+        empty = build_dag(len(ts.dags) + 1, rng.choice((1, 7, ts.hyperperiod)), {})
+        for ts_ in (ts, TaskSet.build(ts.dags + (empty,))):
+            for mp in maps:
+                yield ts_, mp
+                for _ in range(6):
+                    lanes = mp.cores
+                    for _ in range(rng.randint(1, 4)):
+                        lanes = _corrupt(rng, ts_, lanes)
+                    yield ts_, ScheduleMap(len(lanes), tuple(map(tuple, lanes)))
+
+
+def test_validator_matches_the_reference_on_a_corrupted_corpus():
+    kinds = set()
+    misses = oks = 0
+    for ts, mp in _oracle_corpus():
+        report = validate_schedule(mp, ts)
+        assert report == reference_validate_schedule(mp, ts)
+        kinds.update(v.kind for v in report.violations)
+        oks += report.ok
+        misses += not report.ok and {v.kind for v in report.violations} == {"deadline"}
+    assert kinds == {"overlap", "precedence", "deadline", "release", "duration",
+                     "missing_job", "unknown_node"}
+    assert oks and misses
+
+
+def test_validator_reads_jobs_that_equal_an_integer_as_the_reference_does():
+    # in-memory entries may carry True or 1.0 where an int belongs; equal
+    # values name the same job, others name none
+    ts = TaskSet.build([chain_dag(period=5), single_node_dag(dag_id=2, period=10)])
+    for job in (True, 1.0, 1.5, float("inf"), float("nan"), "1", None):
+        entries = [
+            ScheduleEntry(1, 1, 0, 0, 0, 2), ScheduleEntry(1, 2, 0, 0, 2, 4),
+            ScheduleEntry(1, 1, job, 0, 5, 7), ScheduleEntry(1, 2.0, 1, 1, 6, 8),
+            ScheduleEntry(True, 1, 1, 1, 9, 11), ScheduleEntry(2, 1, 0, 1, 0, 2),
+        ]
+        mp = ScheduleMap(2, (tuple(entries[:3]), tuple(entries[3:])))
+        assert validate_schedule(mp, ts) == reference_validate_schedule(mp, ts), job
