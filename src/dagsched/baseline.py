@@ -18,7 +18,7 @@ from .model import JOB_BUDGET, ScheduleEntry, ScheduleMap, TaskSet
 
 @dataclass(frozen=True)
 class MissLocus:
-    """First job instance that overran its absolute deadline."""
+    """The deadline miss with the least (deadline, dag, node, job)."""
 
     dag_id: int
     node_id: int
@@ -34,7 +34,7 @@ class SimResult:
     first_miss: MissLocus | None
 
 
-def gedf_np_simulate(ts: TaskSet, m: int, *, stop_when_decided: bool = False) -> SimResult:
+def gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
     """Simulate the task set under non-preemptive global EDF on m cores.
 
     Ties on equal deadlines break toward the lowest (dag, node, job); free
@@ -42,16 +42,6 @@ def gedf_np_simulate(ts: TaskSet, m: int, *, stop_when_decided: bool = False) ->
     released work completes, even past a miss, so the trace is always the
     full executed schedule.  success is True iff every instance met its
     absolute deadline (job+1 periods after time 0).
-
-    With stop_when_decided, the run ends at the first instant by which a
-    deadline miss has been seen and all m cores have been taken: from then
-    on success stays False and used_cores stays m, whatever runs later.
-    The trace of such a stopped run holds only the entries dispatched up to
-    that instant (every core holds at least one; later work is missing, so
-    it does not validate), and first_miss is the least miss among those
-    dispatches, which a later dispatch with an earlier deadline could have
-    undercut in the full run.  A run that never gets there ends as a full
-    run does.
     """
     if not 1 <= m <= JOB_BUDGET:
         raise ValueError(f"core count must be in 1..{JOB_BUDGET}, got {m}")
@@ -129,9 +119,6 @@ def gedf_np_simulate(ts: TaskSet, m: int, *, stop_when_decided: bool = False) ->
                 < (first.deadline, first.dag_id, first.node_id, first.job)
             ):
                 first = MissLocus(dag_id, node_id, job, deadline, finish)
-
-        if stop_when_decided and first is not None and len(lanes) == m:
-            break
 
     # Cores never taken share one empty lane, so a large m costs little.
     cores = tuple(map(tuple, lanes)) + ((),) * (m - len(lanes))

@@ -284,12 +284,11 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
     proposed row then the baseline row) and its redraw count.  The proposed
     scheduler's placement does not depend on the core budget (the budget
     only gates acceptance), so the collection is scheduled once at max(ms)
-    and compared against every m.  The baseline is simulated once per m,
-    each run stopped once its row is decided (a miss seen and all m cores
-    taken).  Every claimed success is re-checked by the validator, and a
-    validation failure raises ExperimentError naming the collection for
-    replay.  A schedule that validates runs every job once for its wcet, so
-    both algorithms' busy time is the task set's work over the hyperperiod,
+    and compared against every m.  The baseline is simulated once per m.
+    Every claimed success is re-checked by the validator, and a validation
+    failure raises ExperimentError naming the collection for replay.  A
+    schedule that validates runs every job once for its wcet, so both
+    algorithms' busy time is the task set's work over the hyperperiod,
     counted once.
     """
     ts, redraws = generate_taskset(cfg, c)
@@ -307,7 +306,7 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
         rows.append(
             Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
         )
-        sim = gedf_np_simulate(ts, m, stop_when_decided=True)
+        sim = gedf_np_simulate(ts, m)
         b_used = sim.trace.used_cores
         b_util = None
         if sim.success:
@@ -507,6 +506,10 @@ _MARGIN_RIGHT = 16
 # none: at least 4 px per tick, a short period beside a long hyperperiod
 # would draw one line per release, and they would blur into one band.
 _GRID_MIN_PX = 8
+# Gridlines are drawn DAG by DAG while their total stays within this many
+# lines; a DAG that would take it past gets none, so the gridlines cost a
+# bounded number of lines however many DAGs and releases a task set has.
+_GRID_MAX_LINES = 200
 
 
 def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
@@ -516,8 +519,9 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
     after it share one row whose label counts them, so a large declared core
     count costs one line.  Boxes are colored by DAG and labelled dag.node;
     dashed gridlines mark every DAG's period multiples, except for a DAG
-    whose gridlines would lie closer than _GRID_MIN_PX pixels apart.  Output
-    is deterministic for a given map.
+    whose gridlines would lie closer than _GRID_MIN_PX pixels apart or take
+    the lines drawn past _GRID_MAX_LINES.  Output is deterministic for a
+    given map.
     Entries may overlap or run late, but each must be a job instance of ts:
     the first that is not raises TaskSetError, so a schedule drawn against
     the wrong task set is refused.
@@ -559,11 +563,14 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
             f'<text x="{x}" y="{axis_bottom + 16}" text-anchor="middle" fill="#333">{label}</text>'
         )
 
+    drawn = 0
     for dag in ts.dags:
-        if dag.period * px < _GRID_MIN_PX:
+        releases = ts.hyperperiod // dag.period
+        if dag.period * px < _GRID_MIN_PX or drawn + releases > _GRID_MAX_LINES:
             continue
+        drawn += releases
         color = _PALETTE[(dag.dag_id - 1) % len(_PALETTE)]
-        for k in range(1, ts.hyperperiod // dag.period + 1):
+        for k in range(1, releases + 1):
             x = x0 + k * dag.period * px
             out.append(
                 f'<line x1="{x}" y1="{y0}" x2="{x}" y2="{axis_bottom}" stroke="{color}" '

@@ -185,7 +185,7 @@ def test_small_tasksets_match_reference(ts, m):
     assert gedf_np_simulate(ts, m) == reference_gedf_np_simulate(ts, m)
 
 
-# --- runs that stop once decided, and runs that serve smaller core counts -------
+# --- a run below its cap is the run of every larger core count ------------------
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,32 +199,3 @@ def test_a_run_below_its_cap_is_the_run_of_every_larger_core_count(ts):
         assert sim.trace.cores[:used] == uncapped.trace.cores[:used], m
         assert not any(sim.trace.cores[used:]), m
         assert (sim.success, sim.first_miss) == (uncapped.success, uncapped.first_miss), m
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_tasksets())
-def test_a_stopped_run_decides_as_the_full_run_does(ts):
-    used = gedf_np_simulate(ts, job_count(ts) + 1).trace.used_cores
-    for m in range(1, used + 2):
-        full = gedf_np_simulate(ts, m)
-        stopped = gedf_np_simulate(ts, m, stop_when_decided=True)
-        assert (stopped.success, stopped.trace.used_cores) == (
-            full.success, full.trace.used_cores), m
-        if full.success or full.trace.used_cores < m:
-            assert stopped == full, m  # never decided early: run to the end
-
-
-def test_stopped_runs_end_early_on_default_collections():
-    # m = 4 on the default config: most runs miss with all four cores taken;
-    # their stopped traces are prefixes, in dispatch order, of the full ones
-    cfg = GenConfig()
-    stopped = 0
-    for c in range(DEFAULT_COLLECTIONS):
-        ts, _ = generate_taskset(cfg, c)
-        full = gedf_np_simulate(ts, 4)
-        short = gedf_np_simulate(ts, 4, stop_when_decided=True)
-        assert (short.success, short.trace.used_cores) == (full.success, full.trace.used_cores)
-        for got, lane in zip(short.trace.cores, full.trace.cores):
-            assert got == lane[:len(got)]
-        stopped += sum(map(len, short.trace.cores)) < sum(map(len, full.trace.cores))
-    assert stopped > DEFAULT_COLLECTIONS // 2

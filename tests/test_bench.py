@@ -36,6 +36,7 @@ from dagsched.model import (
 from dagsched.scheduler import DAG_INFEASIBLE, schedule_taskset
 
 from helpers import allocation_limit, diamond_dag, job_count
+from reference_gedf import reference_gedf_np_simulate
 
 TINY = GenConfig(
     collections=4,
@@ -290,7 +291,7 @@ def busy(mp) -> int:
 
 
 def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
-    """_run_collection as it was before baseline runs stopped once decided:
+    """_run_collection spelled out with the reference GEDF-NP simulator:
     one full simulation, and one validation of each success, per core
     count, in the order given."""
     ts, redraws = generate_taskset(cfg, c)
@@ -307,7 +308,7 @@ def one_full_run_per_core_count(cfg: GenConfig, ms: tuple[int, ...], c: int):
         rows.append(
             Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
         )
-        sim = gedf_np_simulate(ts, m)
+        sim = reference_gedf_np_simulate(ts, m)
         b_used = sim.trace.used_cores
         b_util = None
         if sim.success:
@@ -323,9 +324,9 @@ def test_collection_rows_match_one_full_run_per_core_count(ms, monkeypatch):
     runs = []
     simulate = bench.gedf_np_simulate
 
-    def counted(ts, m, **kwargs):
-        sim = simulate(ts, m, **kwargs)
-        runs.append(sum(map(len, sim.trace.cores)) < job_count(ts))  # stopped before the end
+    def counted(ts, m):
+        sim = simulate(ts, m)
+        runs.append(sum(map(len, sim.trace.cores)) == job_count(ts))  # ran to the end
         return sim
 
     monkeypatch.setattr(bench, "gedf_np_simulate", counted)
@@ -333,10 +334,9 @@ def test_collection_rows_match_one_full_run_per_core_count(ms, monkeypatch):
     collections = 30
     for c in range(collections):
         assert _run_collection(cfg, ms, c) == one_full_run_per_core_count(cfg, ms, c), c
-    # one run per core count, some stopped once they had missed with every
-    # core taken
+    # one run per core count, each holding every job instance in its trace
     assert len(runs) == collections * len(ms)
-    assert any(runs)
+    assert all(runs)
 
 
 def test_success_rate_nondecreasing_in_m():
@@ -538,3 +538,17 @@ def test_gantt_skips_gridlines_closer_than_a_few_pixels():
     assert len(svg.encode()) < 64 * 1024
     assert svg.count('stroke-dasharray="3,3"') == 1
     assert f'<line x1="{64 + 100000 * 4}" y1="28"' in svg
+
+
+@pytest.mark.parametrize("empty_dags,period,hyperperiod", [(1, 2, 999998), (99, 10, 1000)])
+def test_gantt_draws_a_bounded_number_of_gridlines(empty_dags, period, hyperperiod):
+    # a one-node DAG whose period is the hyperperiod beside node-less DAGs:
+    # their gridlines lie at least 8 px apart, but one per release would be
+    # 499999 lines (60 MB) from one DAG, or 9900 lines (1.1 MB) from many
+    ts = TaskSet.build([build_dag(1, hyperperiod, {1: 1})]
+                       + [build_dag(i, period, {}) for i in range(2, empty_dags + 2)])
+    mp = ScheduleMap.from_entries(1, [ScheduleEntry(1, 1, 0, 0, 0, 1)])
+    svg = render_gantt(mp, ts)
+    assert len(svg.encode()) < 64 * 1024
+    assert 1 <= svg.count('stroke-dasharray="3,3"') <= bench._GRID_MAX_LINES
+    assert f'<line x1="{64 + hyperperiod * 4}" y1="28"' in svg
