@@ -151,7 +151,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _load_config(args)
-    core_counts = [int(x) for x in args.cores.split(",") if x]
+    try:
+        core_counts = [int(x) for x in args.cores.split(",")]
+    except ValueError:
+        _say(f"error: --cores takes comma-separated integers, got {args.cores!r}")
+        return 2
     # the report is written only after the whole experiment: fail before it
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):

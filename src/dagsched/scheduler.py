@@ -46,8 +46,8 @@ class Placement:
     release + latest finish] from the DAG analysis: no legal layout starts
     the job before lo or finishes it after hi.
 
-    The last five slots are set only on compaction's working copies.  ups
-    and downs are the same job's parent and child entries, so the earliest
+    The last five slots are set by compact on the placements it is given.
+    ups and downs are the same job's parent and child entries, so the earliest
     legal start (the latest of lo and the parents' finishes) and the latest
     legal finish (the earliest of hi and the children's starts) are read
     off the current placements in place.  The static window stands in for
@@ -176,11 +176,11 @@ def primary_schedule(
 
 
 class _Compactor:
-    """Sweep machinery over one working copy of the core lanes.
+    """Sweep machinery over the placements of one compact call.
 
-    One compactor serves a whole compact call: it copies the input lanes
-    into linked entries once, and every retry trial runs on it in place,
-    rolled back with save/restore when it is rejected.
+    One compactor serves a whole compact call: it links the placements once,
+    in copies of the input's lane lists, and every retry trial moves them in
+    place, rolled back with save/restore when it is rejected.
 
     Invariant: every lane is sorted by start and no two of its entries
     overlap.  So the hole before an entry starts at its predecessor's
@@ -195,27 +195,14 @@ class _Compactor:
 
     def __init__(self, cores: Sequence[Sequence[Placement]], ts: TaskSet):
         self.horizon = ts.hyperperiod
-        self.lanes = []
+        self.lanes = [list(lane) for lane in cores]
         jobs: dict[tuple[int, int], dict[int, Placement]] = {}  # (dag, job) -> node id -> entry
-        new = object.__new__  # copies without a call to Placement.__init__ per entry
-        for lane in cores:
-            copied = []
+        for lane in self.lanes:
             for p in lane:
-                q = new(Placement)
-                q.dag_id = p.dag_id
-                q.node_id = p.node_id
-                q.job = p.job
-                q.start = p.start
-                q.finish = p.finish
-                q.rank = p.rank
-                q.lo = p.lo
-                q.hi = p.hi
-                copied.append(q)
                 entry = jobs.get((p.dag_id, p.job))
                 if entry is None:
                     entry = jobs[(p.dag_id, p.job)] = {}
-                entry[p.node_id] = q
-            self.lanes.append(copied)
+                entry[p.node_id] = p
         for (dag_id, job), entry in jobs.items():
             linked = entry.__getitem__
             for node in ts.dag(dag_id).nodes:
@@ -440,13 +427,14 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     after the baseline sweeps, or after a kept trial, as soon as the bound
     is reached, with the same lanes the rejected trials would have left.
     Emptied cores are dropped and the rest renumbered.
-    The input is never mutated; busy time and the entry multiset are
-    preserved.  The returned placements are the compactor's working
-    copies, plain Placements with their links (ups and downs) cleared to
-    None: the links form reference cycles, and with them in place one pass
-    of the default sweep left about 100k objects, and 55 ms of
-    collections, to the cyclic garbage collector.  Without them the copies
-    are freed by reference counting.
+    compact moves the placements it is given and returns them, busy time
+    and entry multiset preserved.  Only the lane lists are copied, so the
+    caller's sequence and lane lists keep their length and members and only
+    the placements' start and finish change.  The returned placements have
+    their links (ups and downs) cleared to None: the links form reference
+    cycles, and with them in place one pass of the default sweep left about
+    100k objects, and 55 ms of collections, to the cyclic garbage collector.
+    Without them the placements are freed by reference counting.
 
     Every input lane must be sorted by start with no overlapping entries,
     and the layout legal (as primary_schedule and extend produce it).

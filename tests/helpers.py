@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 from dagsched.analysis import analyze_dag
 from dagsched.model import DagSpec, ScheduleMap, TaskSet, build_dag
+from dagsched.scheduler import Placement
 
 
 def diamond_dag(dag_id: int = 1, period: int = 8) -> DagSpec:
@@ -188,6 +189,15 @@ def entry_multiset(lanes) -> list[tuple[int, int, int, int]]:
     return sorted(
         (p.dag_id, p.node_id, p.job, p.finish - p.start) for lane in lanes for p in lane
     )
+
+
+def copy_lanes(lanes) -> list[list[Placement]]:
+    """Fresh placements at lanes' current positions: compact moves the ones it is given."""
+    return [
+        [Placement(p.dag_id, p.node_id, p.job, p.start, p.finish, p.rank, p.lo, p.hi)
+         for p in lane]
+        for lane in lanes
+    ]
 
 
 def lanes_layout(lanes) -> list[list[tuple[int, int, int, int, int]]]:

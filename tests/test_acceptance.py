@@ -122,10 +122,12 @@ def test_c3_worked_examples():
 def test_c4_compaction_properties():
     for ts, _ in soundness_instances():
         pre = stack_extended_schedules(ts)
+        pre_entries = entry_multiset(pre)
         post = compact(pre, ts)
         assert len(post) <= sum(1 for lane in pre if lane)
-        assert entry_multiset(post) == entry_multiset(pre)
-        assert lanes_layout(compact(post, ts)) == lanes_layout(post)
+        assert entry_multiset(post) == pre_entries
+        post_layout = lanes_layout(post)
+        assert lanes_layout(compact(post, ts)) == post_layout
 
 
 def test_c5_extension_arithmetic():

@@ -263,10 +263,13 @@ def test_gen_config_with_a_malformed_list_is_usage_error(tmp_path, capsys, confi
 @pytest.mark.parametrize("command,match", [
     (["gen", "--config", "over-budget"], "1000005 jobs per collection exceeds the job budget"),
     (["bench", "--cores", "16,16"], "core_counts repeats core count 16"),
+    (["bench", "--cores", "4,,8"], "--cores takes comma-separated integers"),
+    (["bench", "--cores", "4,x"], "--cores takes comma-separated integers"),
 ])
 def test_config_rejected_before_any_collection_is_usage_error(tmp_path, capsys, command, match):
     # 200001 DAGs of at least 5 nodes cannot fit the job budget; a repeated
-    # core count would count every collection twice in its summary
+    # core count would count every collection twice in its summary, and an
+    # empty or non-integer --cores item is not a core count
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dags_per_collection": 200001, "nodes_per_dag": [5, 5]}))
     argv = [str(cfg) if a == "over-budget" else a for a in command]

@@ -32,7 +32,7 @@ from dagsched.analysis import analyze_dag
 from dagsched.bench import GenConfig, generate_taskset, run_experiment
 from dagsched.model import TaskSet, build_dag, validate_schedule
 
-from helpers import lanes_layout
+from helpers import copy_lanes, lanes_layout
 from reference_compact import reference_compact
 
 DEFAULT_COLLECTIONS = 40
@@ -40,18 +40,24 @@ DEFAULT_COLLECTIONS = 40
 
 @contextmanager
 def recorded_stages():
-    """Record (stage, input lanes, output lanes) for each compact and extend call."""
+    """Record (stage, input lanes, output lanes) for each compact and extend call.
+
+    compact moves the placements it is given, and the global pass moves
+    those extend built, so each records a copy: compact of its input taken
+    before the call, extend of its output.
+    """
     calls: list[tuple[str, list, list]] = []
     real_compact, real_extend = scheduler.compact, scheduler.extend
 
     def compact(cores, ts, *args, **kwargs):
+        before = copy_lanes(cores)
         out = real_compact(cores, ts, *args, **kwargs)
-        calls.append(("compact", cores, out))
+        calls.append(("compact", before, out))
         return out
 
     def extend(cores, dag, horizon):
         out = real_extend(cores, dag, horizon)
-        calls.append(("extend", cores, out))
+        calls.append(("extend", cores, copy_lanes(out)))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -329,8 +335,8 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
 
 
 def test_compaction_leaves_no_reference_cycles():
-    # compact drops every working copy's links before it returns, so the
-    # copies are freed by reference counting and the cyclic collector
+    # compact drops every placement's links before it returns, so the
+    # placements are freed by reference counting and the cyclic collector
     # finds nothing after the pipeline or the experiment.
     gc.collect()
     gc.disable()

@@ -23,12 +23,14 @@ from dagsched.scheduler import (
 
 from helpers import (
     chain_dag,
+    copy_lanes,
     diamond_dag,
     entry_multiset,
     lanes_layout,
     random_dag,
     single_node_dag,
 )
+from reference_compact import reference_compact
 
 
 def by_node(lanes):
@@ -164,35 +166,39 @@ def test_compact_diamond_to_one_core(diamond, diamond_ts):
 
 def test_compact_is_idempotent_on_diamond(diamond, diamond_ts):
     once = compact(primary_schedule(diamond), diamond_ts)
-    twice = compact(once, diamond_ts)
-    assert by_node(twice) == by_node(once)
+    layout = by_node(once)
+    assert by_node(compact(once, diamond_ts)) == layout
 
 
 def test_compact_fully_packed_core_is_fixpoint():
     dag = build_dag(1, 6, {1: 2, 2: 2, 3: 2}, [(1, 2), (2, 3)])
     ts = TaskSet.build([dag])
     lanes = primary_schedule(dag)
-    assert by_node(lanes) == [[(1, 1, 0, 0, 2), (1, 2, 0, 2, 4), (1, 3, 0, 4, 6)]]
-    assert by_node(compact(lanes, ts)) == by_node(lanes)
+    layout = by_node(lanes)
+    assert layout == [[(1, 1, 0, 0, 2), (1, 2, 0, 2, 4), (1, 3, 0, 4, 6)]]
+    assert by_node(compact(lanes, ts)) == layout
 
 
-def test_compact_does_not_mutate_input(diamond, diamond_ts):
-    lanes = primary_schedule(diamond)
-    snapshot = by_node(lanes)
-    compact(lanes, diamond_ts)
-    assert by_node(lanes) == snapshot
-    # the global pass over default collection 5 keeps one restretch trial
-    # and rolls back the loosened trial and the last restretch trial
+def test_compact_moves_the_placements_it_is_given(diamond, diamond_ts):
+    # compact returns the caller's own placements, moved, and copies only
+    # the lane lists.  The global pass over default collection 5 keeps one
+    # restretch trial and rolls back the loosened trial and the last
+    # restretch trial, so restore runs on the caller's placements too.
     ts, _ = generate_taskset(GenConfig(), 5)
-    lanes = stack_extended_schedules(ts)
-    snapshot = by_node(lanes)
-    assert len(compact(lanes, ts)) < len(lanes)
-    assert by_node(lanes) == snapshot
+    for lanes, tset in ((primary_schedule(diamond), diamond_ts),
+                        (stack_extended_schedules(ts), ts)):
+        before = copy_lanes(lanes)
+        members = [[id(p) for p in lane] for lane in lanes]
+        got = compact(lanes, tset)
+        assert len(got) < len(lanes)
+        assert sorted(id(p) for lane in got for p in lane) == sorted(sum(members, []))
+        assert [[id(p) for p in lane] for lane in lanes] == members
+        assert by_node(got) == by_node(reference_compact(before, tset))
 
 
 def test_compact_returns_plain_placements_without_links(diamond, diamond_ts):
-    # the working copies come back as the type compact's signature names,
-    # with the links to their parent and child copies cleared
+    # the placements come back as the type compact's signature names, with
+    # the links to their parent and child placements cleared
     ts, _ = generate_taskset(GenConfig(), 5)
     for lanes, tset in ((primary_schedule(diamond), diamond_ts),
                         (stack_extended_schedules(ts), ts)):
