@@ -468,8 +468,6 @@ def spot_check_report(report: ExperimentReport, sample: int = 3) -> None:
     success, and requires rows equal to the report's.  Raises
     ExperimentError on any mismatch.
     """
-    if not report.rows:
-        return
     collections = sorted({r.collection for r in report.rows})
     step = max(1, len(collections) // max(1, sample))
     for c in collections[::step][:sample]:

@@ -25,7 +25,7 @@ from .bench import (
     render_gantt,
     run_experiment,
 )
-from .model import TaskSetError, dumps_schedule, dumps_taskset, load_schedule, load_taskset, validate_schedule
+from .model import dumps_schedule, dumps_taskset, load_schedule, load_taskset, validate_schedule
 from .scheduler import DAG_INFEASIBLE, schedule_taskset
 
 
@@ -248,8 +248,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     # ExperimentError (a claimed success that failed validation) is a
     # scheduler bug, not an unschedulable input, so it must not exit with 1.
     # OverflowError covers a hyperperiod beyond the 64-bit tick range.
-    except (TaskSetError, GenerationError, ExperimentError, ValueError,
-            OverflowError, json.JSONDecodeError, OSError) as exc:
+    except (GenerationError, ExperimentError, ValueError, OverflowError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
 

@@ -119,9 +119,7 @@ class DagSpec:
 class TaskSet:
     """A set of periodic DAGs plus the derived hyperperiod.
 
-    build admits at most JOB_BUDGET job releases over the hyperperiod: one
-    per node and period, and one per period for a DAG without nodes, whose
-    releases the renderer's gridlines still mark.
+    build admits at most JOB_BUDGET jobs over the hyperperiod.
     """
 
     dags: tuple[DagSpec, ...]
@@ -141,11 +139,11 @@ class TaskSet:
         if ids != list(range(1, len(dags) + 1)):
             raise TaskSetError(f"dag ids must be dense 1..n, got {ids}")
         h = hyperperiod(d.period for d in dags)
-        jobs = [max(1, len(d.nodes)) * (h // d.period) for d in dags]
+        jobs = [len(d.nodes) * (h // d.period) for d in dags]
         if sum(jobs) > JOB_BUDGET:
             counts = ", ".join(f"dag {d.dag_id}: {n}" for d, n in zip(dags, jobs))
             raise TaskSetError(
-                f"hyperperiod {h} expands to {sum(jobs)} job releases, over the budget of "
+                f"hyperperiod {h} expands to {sum(jobs)} jobs, over the budget of "
                 f"{JOB_BUDGET} ({counts})"
             )
         return cls(dags=dags, hyperperiod=h)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -180,6 +181,10 @@ def test_config_round_trip_and_validation():
         GenConfig(period_menu=())
     with pytest.raises(ValueError, match="unknown config fields"):
         GenConfig.from_doc({"edge_probability": 0.5})
+    with pytest.raises(ValueError, match="collections must be >= 0"):
+        GenConfig(collections=-1)
+    with pytest.raises(ValueError, match="config document must be an object"):
+        GenConfig.from_doc([])
 
 
 def test_config_holding_more_jobs_than_the_budget_fails_fast():
@@ -384,6 +389,12 @@ def test_report_of_invalid_json_is_a_value_error(text):
         load_report(text)
 
 
+@pytest.mark.parametrize("text", ["[]", "5"])
+def test_report_that_is_not_an_object_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^report document must be an object$"):
+        load_report(text)
+
+
 def edited_report(edit) -> str:
     doc = json.loads(dumps_report(run_experiment(TINY, [1, 2])))
     edit(doc)
@@ -422,10 +433,9 @@ def test_loaded_report_survives_spot_check(tmp_path):
     report = run_experiment(TINY, [1, 4])
     loaded = load_report(dumps_report(report))
     spot_check_report(loaded, sample=2)  # raises on any mismatch
+    spot_check_report(dataclasses.replace(loaded, rows=()))  # nothing to rerun
 
-    # a tampered row is caught
-    import dataclasses
-
+    # a tampered row is caught, and so is a missing one
     def forge(pick, **changes):
         rows = list(loaded.rows)
         victim = next(i for i, r in enumerate(rows) if pick(r))
@@ -434,6 +444,8 @@ def test_loaded_report_survives_spot_check(tmp_path):
 
     with pytest.raises(Exception, match="report says success=True, rerun says False"):
         spot_check_report(forge(lambda r: not r.success, success=True), sample=len(loaded.rows))
+    with pytest.raises(Exception, match="collection 0: report says 3 rows, rerun says 4"):
+        spot_check_report(dataclasses.replace(loaded, rows=loaded.rows[1:]), sample=1)
 
     # whole rows are compared: a forged field beside an unchanged success
     def proposed_ok(r):

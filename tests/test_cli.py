@@ -423,28 +423,39 @@ DOCUMENTS = {  # "missing" names a file that is never written
     "json_array": "[]",
     "no_dags": json.dumps({"dags": []}),
     "dag_without_nodes": json.dumps({"dags": [{"id": 1, "period": 5, "nodes": []}]}),
-    # the node-less DAG releases 1000001 times per hyperperiod, over JOB_BUDGET
+    # the node-less DAG releases 1000001 times per hyperperiod but holds no
+    # job, so the set expands to one job
     "empty_dag_releases": json.dumps({"dags": [
         {"id": 1, "period": 1, "nodes": []},
         {"id": 2, "period": 1000001, "nodes": [{"id": 1, "wcet": 1}]},
     ]}),
+    "dag_not_object": json.dumps({"dags": [5]}),
+    "nodes_not_list": json.dumps({"dags": [{"id": 1, "period": 5, "nodes": {}}]}),
+    "node_not_object": json.dumps({"dags": [{"id": 1, "period": 5, "nodes": [1]}]}),
+    "edge_not_pair": json.dumps({"dags": [{"id": 1, "period": 5, "nodes": [
+        {"id": 1, "wcet": 1}, {"id": 2, "wcet": 1}], "edges": [[1, 2, 2]]}]}),
     "diamond": dumps_taskset(TaskSet.build([diamond_dag()])),
     "empty_schedule": json.dumps({"num_cores": 0, "entries": []}),
+    # job 0 of dag 2: foreign to the diamond, the whole of empty_dag_releases
     "foreign_schedule": json.dumps({"num_cores": 1, "entries": [
         {"dag": 2, "node": 1, "job": 0, "core": 0, "start": 0, "finish": 1}
     ]}),
     "string_num_cores": json.dumps({"num_cores": "1", "entries": []}),
+    "entries_not_list": json.dumps({"num_cores": 1, "entries": {}}),
+    "entry_not_object": json.dumps({"num_cores": 1, "entries": [5]}),
 }
 EXIT_MATRIX = [  # (task set, schedule, exit status per command)
     *[(bad, "empty_schedule", dict.fromkeys(COMMANDS, 2))
-      for bad in ("invalid_json", "json_array", "missing")],
+      for bad in ("invalid_json", "json_array", "missing", "dag_not_object", "nodes_not_list",
+                  "node_not_object", "edge_not_pair")],
     ("no_dags", "empty_schedule", dict.fromkeys(COMMANDS, 0)),
     ("dag_without_nodes", "empty_schedule", dict.fromkeys(COMMANDS, 0)),
-    ("empty_dag_releases", "empty_schedule", dict.fromkeys(COMMANDS, 2)),
+    ("empty_dag_releases", "empty_schedule", {**dict.fromkeys(COMMANDS, 0), "validate": 1}),
+    ("empty_dag_releases", "foreign_schedule", {"validate": 0, "render": 0}),
     *[("diamond", bad, {"validate": 2, "render": 2})
-      for bad in ("invalid_json", "json_array", "missing")],
+      for bad in ("invalid_json", "json_array", "missing", "string_num_cores",
+                  "entries_not_list", "entry_not_object")],
     ("diamond", "foreign_schedule", {"validate": 1, "render": 2}),
-    ("diamond", "string_num_cores", {"validate": 2, "render": 2}),
 ]
 
 
@@ -468,4 +479,9 @@ def test_exit_status_matrix(tmp_path, capsys, command, taskset, schedule, code):
     if command in ("validate", "render"):
         argv += ["--schedule", path(schedule)]
     assert run_cli(argv) == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:  # an input error is one line
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if command == "render" and code == 0:
+        assert (tmp_path / "out").stat().st_size < 64 * 1024

@@ -121,6 +121,18 @@ def test_load_errors_carry_locus():
         load_taskset(doc([{"id": 1, "period": 5, "nodes": two_nodes, "edges": [[True, 2]]}]))
     with pytest.raises(TaskSetError, match="dag 1: edge dst must be an integer, got '2'"):
         load_taskset(doc([{"id": 1, "period": 5, "nodes": two_nodes, "edges": [[1, "2"]]}]))
+    with pytest.raises(TaskSetError, match="dag 1: edges must be \\[src, dst\\] pairs"):
+        load_taskset(doc([{"id": 1, "period": 5, "nodes": two_nodes, "edges": [[1, 2, 2]]}]))
+    with pytest.raises(TaskSetError, match="dag entry 0: must be an object"):
+        load_taskset(doc([5]))
+    with pytest.raises(TaskSetError, match="dag 1: nodes must be a list"):
+        load_taskset(doc([{"id": 1, "period": 5, "nodes": {}}]))
+    with pytest.raises(TaskSetError, match="dag 1: node entries must be objects"):
+        load_taskset(doc([{"id": 1, "period": 5, "nodes": [1]}]))
+    with pytest.raises(TaskSetError, match='must carry an "entries" list'):
+        load_schedule(json.dumps({"num_cores": 1, "entries": {}}))
+    with pytest.raises(TaskSetError, match="entry 0: must be an object"):
+        load_schedule(json.dumps({"num_cores": 1, "entries": [5]}))
 
 
 @pytest.mark.parametrize("load", [load_taskset, load_schedule])
@@ -493,29 +505,30 @@ def test_job_budget_is_inclusive():
         load_taskset(two_dags(JOB_BUDGET))
 
 
-def test_job_budget_counts_releases_of_a_dag_without_nodes():
-    # the renderer's gridlines mark every release of a node-less DAG, so
-    # each of its periods counts as one release
-    def with_empty_dag(p):
+def test_job_budget_counts_no_releases_of_a_dag_without_nodes():
+    # a node-less DAG holds no job, so however often it releases it costs
+    # nothing; a one-node DAG in its place counts one job per release
+    def beside_a_long_period(nodes):
         return doc([
-            {"id": 1, "period": 1, "nodes": []},
-            {"id": 2, "period": p, "nodes": [{"id": 1, "wcet": 1}]},
+            {"id": 1, "period": 1, "nodes": nodes},
+            {"id": 2, "period": JOB_BUDGET + 1, "nodes": [{"id": 1, "wcet": 1}]},
         ])
 
-    assert load_taskset(with_empty_dag(JOB_BUDGET - 1)).hyperperiod == JOB_BUDGET - 1
+    with allocation_limit():
+        assert load_taskset(beside_a_long_period([])).hyperperiod == JOB_BUDGET + 1
     with allocation_limit(), pytest.raises(
-        TaskSetError, match=r"expands to 1000001 job releases, over the budget of 1000000 "
-                            r"\(dag 1: 1000000, dag 2: 1\)"
+        TaskSetError, match=r"expands to 1000002 jobs, over the budget of 1000000 "
+                            r"\(dag 1: 1000001, dag 2: 1\)"
     ):
-        load_taskset(with_empty_dag(JOB_BUDGET))
+        load_taskset(beside_a_long_period([{"id": 1, "wcet": 1}]))
 
 
 def test_validator_allocates_nothing_per_release_of_a_dag_without_nodes():
-    # 999999 releases of a node-less DAG hold no job, so the validator
+    # 10**9 releases of a node-less DAG hold no job, so the validator
     # neither keeps nor walks anything for them
     ts = load_taskset(doc([
         {"id": 1, "period": 1, "nodes": []},
-        {"id": 2, "period": 999999, "nodes": [{"id": 1, "wcet": 1}]},
+        {"id": 2, "period": 10**9, "nodes": [{"id": 1, "wcet": 1}]},
     ]))
     mp = ScheduleMap.from_entries(1, [ScheduleEntry(2, 1, 0, 0, 0, 1)])
     with allocation_limit():
