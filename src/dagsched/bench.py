@@ -25,6 +25,7 @@ from .model import (
     TaskSet,
     TaskSetError,
     _as_int,
+    _load_json,
     build_dag,
     validate_schedule,
 )
@@ -85,24 +86,13 @@ class GenConfig:
             )
 
     def to_doc(self) -> dict:
-        return {
-            "collections": self.collections,
-            "dags_per_collection": self.dags_per_collection,
-            "edge_prob": self.edge_prob,
-            "nodes_per_dag": list(self.nodes_per_dag),
-            "wcet_range": list(self.wcet_range),
-            "period_menu": list(self.period_menu),
-            "seed": self.seed,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GenConfig":
         if not isinstance(doc, dict):
             raise ValueError("config document must be an object")
-        unknown = set(doc) - {
-            "collections", "dags_per_collection", "seed", "edge_prob",
-            "nodes_per_dag", "wcet_range", "period_menu",
-        }
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs = {}
@@ -412,10 +402,7 @@ def load_report(data: bytes | str) -> ExperimentReport:
     Malformed JSON raises ValueError("invalid JSON: ..."), and a missing or
     ill-typed field a ValueError naming the field.
     """
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise ValueError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(data)
     if not isinstance(doc, dict):
         raise ValueError("report document must be an object")
     config = _field(doc, "config", "object")

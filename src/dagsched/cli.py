@@ -25,7 +25,9 @@ from .bench import (
     render_gantt,
     run_experiment,
 )
-from .model import dumps_schedule, dumps_taskset, load_schedule, load_taskset, validate_schedule
+from .model import (
+    _load_json, dumps_schedule, dumps_taskset, load_schedule, load_taskset, validate_schedule,
+)
 from .scheduler import DAG_INFEASIBLE, schedule_taskset
 
 
@@ -134,11 +136,7 @@ def _cmd_validate(args) -> int:
 def _load_config(args) -> GenConfig:
     if not args.config:
         return GenConfig(seed=args.seed)
-    try:
-        doc = json.loads(_read(args.config))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    return replace(GenConfig.from_doc(doc), seed=args.seed)
+    return replace(GenConfig.from_doc(_load_json(_read(args.config))), seed=args.seed)
 
 
 def _cmd_gen(args) -> int:

@@ -446,12 +446,17 @@ def _as_int(value, what: str, *args) -> int:
     return value
 
 
-def load_taskset(data: bytes | str) -> TaskSet:
-    """Parse a task-set document and compute all derived fields."""
+def _load_json(data: bytes | str):
+    """The parsed document; malformed JSON raises TaskSetError("invalid JSON: ...")."""
     try:
-        doc = json.loads(data)
+        return json.loads(data)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise TaskSetError(f"invalid JSON: {exc}") from exc
+
+
+def load_taskset(data: bytes | str) -> TaskSet:
+    """Parse a task-set document and compute all derived fields."""
+    doc = _load_json(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("dags"), list):
         raise TaskSetError('task-set document must be an object with a "dags" list')
     dags = []
@@ -549,10 +554,7 @@ def dumps_schedule(mp: ScheduleMap) -> str:
 
 def load_schedule(data: bytes | str) -> ScheduleMap:
     """Parse a schedule document back into a ScheduleMap."""
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise TaskSetError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(data)
     if not isinstance(doc, dict):
         raise TaskSetError("schedule document must be an object")
     num_cores = _as_int(doc.get("num_cores"), "num_cores")

@@ -24,7 +24,7 @@ from .model import DagSpec, ScheduleEntry, ScheduleMap, TaskSet
 
 NOT_ENOUGH_CORES = "not_enough_cores"
 DAG_INFEASIBLE = "dag_infeasible"
-_RESTRETCH_CYCLES = 3  # restretch+sweep cycles in the last retry trial of compact
+_RESTRETCH_CYCLES = 3  # restretch+sweep cycles in each restretch trial of compact
 _WIDTH = attrgetter("width")
 
 
@@ -180,7 +180,7 @@ class _Compactor:
 
     One compactor serves a whole compact call: it links the placements once,
     in copies of the input's lane lists, and every retry trial moves them in
-    place, rolled back with save/restore when it is rejected.
+    place, rolled back by restore when it is rejected (see trial).
 
     Invariant: every lane is sorted by start and no two of its entries
     overlap.  So the hole before an entry starts at its predecessor's
@@ -219,10 +219,6 @@ class _Compactor:
 
     def used(self) -> int:
         return sum(1 for lane in self.lanes if lane)
-
-    def save(self) -> list[list[tuple[Placement, int]]]:
-        """Each lane's (entry, start) pairs: the layout, for restore."""
-        return [[(p, p.start) for p in lane] for lane in self.lanes]
 
     def restore(self, saved: list[list[tuple[Placement, int]]]) -> None:
         """Put every entry back at its saved lane and start."""
@@ -358,6 +354,25 @@ class _Compactor:
         while self.sweep(shift_any=shift_any):
             pass
 
+    def trial(self, cycles: int) -> bool:
+        """Retry from the current layout; keep the result only if it frees a core.
+
+        Runs cycles or 1 rounds, each a restretch (only when cycles > 0)
+        followed by the loosened sweeps, and returns True at the first round
+        that lowers used().  If none does, every entry goes back to the lane
+        and start it had, and the trial returns False.
+        """
+        saved = [[(p, p.start) for p in lane] for lane in self.lanes]
+        target = self.used()
+        for _ in range(cycles or 1):
+            if cycles:
+                self.restretch()
+            self.run(shift_any=True)
+            if self.used() < target:
+                return True
+        self.restore(saved)
+        return False
+
     def restretch(self) -> None:
         """Push every entry as late as children, deadline, and core allow.
 
@@ -404,20 +419,20 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     since rank leads the preference; and its walk of a lane stops at the
     first mover too wide for the hole (see _Compactor._fill).
 
-    Sweeps repeat until none acts.  The retry ladder runs baseline sweeps,
-    then one loosened trial, then restretch trials.  The baseline sweeps
-    restrict the self-shift to each core's free prefix.  The loosened
-    sweeps also slide interior entries left, loosening the holes for more
-    migration.  A restretch trial runs up to three cycles; a cycle pushes
-    every entry as late as it may go and re-runs the loosened sweeps,
-    rebuilding walkable holes at the front of left-welded layouts, and the
-    core count is checked after each cycle.  A trial is kept only when
-    it strictly reduces the core count, and restretch trials repeat until
-    one does not.  Every kept trial ends in loosened sweeps, so one
-    loosened trial is enough, and the result is stable: compacting a
-    compacted schedule is a no-op.  The whole ladder runs on one
-    _Compactor: each trial starts from a save of the layout and a
-    rejected trial is restored from it.
+    Sweeps repeat until none acts.  The baseline sweeps restrict the
+    self-shift to each core's free prefix; the loosened sweeps also slide
+    interior entries left, loosening the holes for more migration.  After
+    the baseline sweeps the retry ladder runs trials on the same
+    _Compactor (see _Compactor.trial), each kept only when it strictly
+    reduces the core count and otherwise rolled back.  Its first rung is
+    one loosened trial; its second is restretch trials of up to three
+    cycles, where a cycle pushes every entry as late as it may go and
+    re-runs the loosened sweeps, rebuilding walkable holes at the front of
+    left-welded layouts.  A kept trial ends at the loosened sweeps'
+    fixpoint, so only a trial that restretches can gain by running again:
+    the loosened trial runs at most once and restretch trials repeat until
+    one is rejected.  The result is stable: compacting a compacted
+    schedule is a no-op.
 
     No lane holds more work than the latest deadline of the entries, since
     every entry starts at or after 0 and ends by its own deadline, so the
@@ -445,21 +460,9 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     # every job's exit nodes have hi = deadline, so this is the latest deadline
     bound = -(-busy // max((p.hi for p in entries), default=1))
     work.run(shift_any=False)
-    if work.used() > bound:
-        saved, target = work.save(), work.used()
-        work.run(shift_any=True)
-        if work.used() >= target:
-            work.restore(saved)
-    while work.used() > bound:
-        saved, target = work.save(), work.used()
-        for _ in range(_RESTRETCH_CYCLES):
-            work.restretch()
-            work.run(shift_any=True)
-            if work.used() < target:
-                break
-        if work.used() >= target:
-            work.restore(saved)
-            break
+    for cycles in (0, _RESTRETCH_CYCLES):
+        while work.used() > bound and work.trial(cycles) and cycles:
+            pass
     for p in entries:
         p.ups = p.downs = None
     return [lane for lane in work.lanes if lane]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,37 @@ def test_bench_round_trip_bytes(tmp_path):
     assert run_cli(args + ["--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,code,digest", [
+    (["schedule", "--cores", "16"], 0,
+     "5d2e6c6ae6db98a09629a68ecf8453f6743e9baf1232b1c354280513a86de818"),
+    (["validate", "--schedule", "corrupt"], 1,
+     "1a81497c980e4f76f6684f706d32eca5e2de28136eeeb8962a2db86acdead360"),
+    (["simulate", "--cores", "16"], 0,
+     "894c2fff83ce348f1b3438833448c221979919553924f21ef74c75e78e5cbc08"),
+    (["simulate", "--cores", "4"], 1,
+     "e0bb2764267fa3625412e1d45acd22014d6abb922ea05e10afbb4529e24f13dd"),
+], ids=["schedule-16", "validate-corrupt", "simulate-16", "simulate-4"])
+def test_documents_of_the_seed_0_set_are_pinned(tmp_path, capsys, command, code, digest):
+    # The documents each command writes of the gen --seed 0 set (pinned in
+    # test_generated_documents_are_pinned), on every supported Python.  The
+    # corrupt schedule is the pinned one with its first entry dropped and
+    # the next one delayed by a tick; on 4 cores GEDF-NP misses a deadline.
+    ts, sched, corrupt = tmp_path / "ts.json", tmp_path / "sched.json", tmp_path / "corrupt.json"
+    assert run_cli(["gen", "--seed", "0", "--out", str(ts)]) == 0
+    assert run_cli(["schedule", "--in", str(ts), "--cores", "16", "--out", str(sched)]) == 0
+    doc = json.loads(sched.read_text())
+    del doc["entries"][0]
+    entry = doc["entries"][0]
+    entry["start"] += 1
+    entry["finish"] += 1
+    corrupt.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = [str(corrupt) if a == "corrupt" else a for a in command]
+    assert run_cli([*argv, "--in", str(ts), "--out", str(out)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_render_writes_svg(tmp_path):

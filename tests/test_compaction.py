@@ -299,6 +299,36 @@ def test_third_restretch_cycle_saves_a_core(seed, collection, cores):
     assert scheduler.schedule_taskset(ts, 1 << 20).cores_used == cores
 
 
+@pytest.mark.parametrize("collection,trials", [
+    (2, [(0, True), (3, False)]),
+    (4, [(0, False), (3, True), (3, False)]),
+])
+def test_trial_is_kept_only_when_it_frees_a_core(monkeypatch, collection, trials):
+    # The global passes over default collections 2 and 4 keep and reject
+    # both kinds of trial, as (cycles, kept) pairs.  A trial returns True
+    # exactly when used() fell, and a rejected one leaves every lane with
+    # the same placements, by identity, at the same starts.
+    ts, _ = generate_taskset(GenConfig(), collection)
+    lanes = scheduler.stack_extended_schedules(ts)
+    real_trial = scheduler._Compactor.trial
+    seen = []
+
+    def trial(self, cycles):
+        before = [[(id(p), p.start, p.finish) for p in lane] for lane in self.lanes]
+        used = self.used()
+        kept = real_trial(self, cycles)
+        assert kept == (self.used() < used)
+        if not kept:
+            assert [[(id(p), p.start, p.finish) for p in lane] for lane in self.lanes] == before
+            assert_width_ordered_movers(self)
+        seen.append((cycles, kept))
+        return kept
+
+    monkeypatch.setattr(scheduler._Compactor, "trial", trial)
+    scheduler.compact(lanes, ts)
+    assert seen == trials
+
+
 def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
     # A fill reads the links of a mover that fits the hole's width and its
     # static window only while the mover's rank is at most the best rank

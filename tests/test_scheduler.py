@@ -181,9 +181,9 @@ def test_compact_fully_packed_core_is_fixpoint():
 
 def test_compact_moves_the_placements_it_is_given(diamond, diamond_ts):
     # compact returns the caller's own placements, moved, and copies only
-    # the lane lists.  The global pass over default collection 5 keeps one
-    # restretch trial and rolls back the loosened trial and the last
-    # restretch trial, so restore runs on the caller's placements too.
+    # the lane lists.  The global pass over default collection 5 rolls
+    # back the loosened trial and keeps one restretch trial, so restore
+    # runs on the caller's placements too.
     ts, _ = generate_taskset(GenConfig(), 5)
     for lanes, tset in ((primary_schedule(diamond), diamond_ts),
                         (stack_extended_schedules(ts), ts)):
