@@ -16,21 +16,21 @@ from .model import DagSpec
 
 @dataclass(frozen=True)
 class DagAnalysis:
-    """Bundle of every per-DAG analysis result.
+    """Bundle of every per-DAG analysis result; every field is stored.
 
     prior_plus, est, lft and rank_pos map each node id to its prior-plus
     load, earliest start (from the DAG's est), latest finish and position
-    in rank_order (0 = highest priority).  min_cores is only set when the
-    DAG is feasible (critical path fits in the deadline); an infeasible DAG
-    cannot be scheduled on any number of cores, so no core estimate exists
-    for it.
+    in the ranking (0 = highest priority); the ranking itself is the node
+    ids sorted by rank_pos, derived where it is needed.  min_cores is only
+    set when the DAG is feasible (critical path fits in the deadline); an
+    infeasible DAG cannot be scheduled on any number of cores, so no core
+    estimate exists for it.
     """
 
     prior_plus: dict[int, int]
     est: dict[int, int]
     lft: dict[int, int]
     rank_pos: dict[int, int]
-    rank_order: tuple[int, ...]
     cp_nodes: tuple[int, ...]
     min_cores: int | None
     feasible: bool
@@ -146,7 +146,6 @@ def _min_cores(
 def analyze_dag(dag: DagSpec) -> DagAnalysis:
     """Run the full per-DAG analysis pipeline."""
     pp = prior_plus(dag)
-    order = rank(dag, pp)
     est, lft = dict(zip(dag.node_ids, dag.est)), _latest_finish(dag)
     cp_nodes = _heaviest_path(dag, lft)
     feasible = dag.cp_length <= dag.deadline
@@ -154,8 +153,7 @@ def analyze_dag(dag: DagSpec) -> DagAnalysis:
         prior_plus=pp,
         est=est,
         lft=lft,
-        rank_pos={nid: i for i, nid in enumerate(order)},
-        rank_order=tuple(order),
+        rank_pos={nid: i for i, nid in enumerate(rank(dag, pp))},
         cp_nodes=tuple(cp_nodes),
         min_cores=_min_cores(dag, est, lft, cp_nodes) if feasible and dag.nodes else None,
         feasible=feasible,

@@ -29,9 +29,17 @@ class MissLocus:
 
 @dataclass(frozen=True)
 class SimResult:
-    success: bool
+    """What a GEDF-NP run observed: its full trace and its first miss.
+
+    Both fields are stored; success is derived, True iff no miss was seen.
+    """
+
     trace: ScheduleMap
     first_miss: MissLocus | None
+
+    @property
+    def success(self) -> bool:
+        return self.first_miss is None
 
 
 def gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
@@ -123,4 +131,4 @@ def gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
     # Cores never taken share one empty lane, so a large m costs little.
     cores = tuple(map(tuple, lanes)) + ((),) * (m - len(lanes))
     trace = ScheduleMap(num_cores=m, cores=cores)
-    return SimResult(success=first is None, trace=trace, first_miss=first)
+    return SimResult(trace=trace, first_miss=first)

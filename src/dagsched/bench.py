@@ -488,13 +488,21 @@ _MARGIN_TOP = 28
 _MARGIN_BOTTOM = 30
 _MARGIN_RIGHT = 16
 # A DAG whose period gridlines would fall closer than this many pixels gets
-# none: at least 4 px per tick, a short period beside a long hyperperiod
-# would draw one line per release, and they would blur into one band.
+# none: a short period beside a long hyperperiod would draw one line per
+# release, and they would blur into one band.
 _GRID_MIN_PX = 8
 # Gridlines are drawn DAG by DAG while their total stays within this many
 # lines; a DAG that would take it past gets none, so the gridlines cost a
 # bounded number of lines however many DAGs and releases a task set has.
 _GRID_MAX_LINES = 200
+# The plot takes 4 to 48 px per tick while that fits in this many pixels; a
+# longer hyperperiod is scaled down to it, so the SVG width stays bounded.
+_PLOT_MAX_PX = 4000
+
+
+def _px(v) -> str:
+    """An SVG coordinate: an int as it is, a float to two decimals at most."""
+    return str(v) if isinstance(v, int) else f"{v:.2f}".removesuffix(".00")
 
 
 def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
@@ -505,7 +513,9 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
     count costs one line.  Boxes are colored by DAG and labelled dag.node;
     dashed gridlines mark every DAG's period multiples, except for a DAG
     whose gridlines would lie closer than _GRID_MIN_PX pixels apart or take
-    the lines drawn past _GRID_MAX_LINES.  Output is deterministic for a
+    the lines drawn past _GRID_MAX_LINES.  The plot is at most _PLOT_MAX_PX
+    wide: past that a tick is under 4 px, and coordinates that are not
+    whole are written to two decimals.  Output is deterministic for a
     given map.
     Entries may overlap or run late, but each must be a job instance of ts:
     the first that is not raises TaskSetError, so a schedule drawn against
@@ -525,10 +535,13 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
     rows = max(1, shown + 1 if idle else shown)
     horizon = max(ts.hyperperiod, 1)
     px = max(4, min(48, 960 // horizon))
-    width = _MARGIN_LEFT + horizon * px + _MARGIN_RIGHT
+    if horizon * px > _PLOT_MAX_PX:
+        px = _PLOT_MAX_PX / horizon
+    width = _MARGIN_LEFT + round(horizon * px) + _MARGIN_RIGHT
     height = _MARGIN_TOP + rows * _LANE_HEIGHT + _MARGIN_BOTTOM
     x0 = _MARGIN_LEFT
     y0 = _MARGIN_TOP
+    right = _px(x0 + horizon * px)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -539,11 +552,11 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
     axis_bottom = y0 + rows * _LANE_HEIGHT
     # Time axis with a tick every period gridline plus the horizon ends.
     out.append(
-        f'<line x1="{x0}" y1="{axis_bottom}" x2="{x0 + horizon * px}" y2="{axis_bottom}" '
+        f'<line x1="{x0}" y1="{axis_bottom}" x2="{right}" y2="{axis_bottom}" '
         f'stroke="#333" stroke-width="1"/>'
     )
     for label, t in (("0", 0), (str(horizon), horizon)):
-        x = x0 + t * px
+        x = _px(x0 + t * px)
         out.append(
             f'<text x="{x}" y="{axis_bottom + 16}" text-anchor="middle" fill="#333">{label}</text>'
         )
@@ -556,7 +569,7 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
         drawn += releases
         color = _PALETTE[(dag.dag_id - 1) % len(_PALETTE)]
         for k in range(1, releases + 1):
-            x = x0 + k * dag.period * px
+            x = _px(x0 + k * dag.period * px)
             out.append(
                 f'<line x1="{x}" y1="{y0}" x2="{x}" y2="{axis_bottom}" stroke="{color}" '
                 f'stroke-width="1" stroke-dasharray="3,3" opacity="0.6"/>'
@@ -569,7 +582,7 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
             f'fill="#333">core {core}</text>'
         )
         out.append(
-            f'<line x1="{x0}" y1="{y}" x2="{x0 + horizon * px}" y2="{y}" '
+            f'<line x1="{x0}" y1="{y}" x2="{right}" y2="{y}" '
             f'stroke="#ddd" stroke-width="1"/>'
         )
         for e in mp.cores[core]:
@@ -578,15 +591,15 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
             bw = (e.finish - e.start) * px
             by = y + (_LANE_HEIGHT - _BAR_HEIGHT) // 2
             out.append(
-                f'<rect x="{bx}" y="{by}" width="{bw}" height="{_BAR_HEIGHT}" '
+                f'<rect x="{_px(bx)}" y="{by}" width="{_px(bw)}" height="{_BAR_HEIGHT}" '
                 f'fill="{color}" stroke="#333" stroke-width="1">'
                 f"<title>dag {e.dag_id} node {e.node_id} job {e.job}: "
                 f"[{e.start},{e.finish})</title></rect>"
             )
             if bw >= 24:
                 out.append(
-                    f'<text x="{bx + bw // 2}" y="{by + _BAR_HEIGHT - 8}" text-anchor="middle" '
-                    f'fill="white">{e.dag_id}.{e.node_id}</text>'
+                    f'<text x="{_px(bx + bw // 2)}" y="{by + _BAR_HEIGHT - 8}" '
+                    f'text-anchor="middle" fill="white">{e.dag_id}.{e.node_id}</text>'
                 )
     if idle:
         y = y0 + shown * _LANE_HEIGHT
@@ -595,7 +608,7 @@ def render_gantt(mp: ScheduleMap, ts: TaskSet) -> str:
             f'<text x="{x0 + 4}" y="{y + _LANE_HEIGHT // 2 + 4}" fill="#999">{what} idle</text>'
         )
         out.append(
-            f'<line x1="{x0}" y1="{y}" x2="{x0 + horizon * px}" y2="{y}" '
+            f'<line x1="{x0}" y1="{y}" x2="{right}" y2="{y}" '
             f'stroke="#ddd" stroke-width="1"/>'
         )
 

@@ -62,7 +62,7 @@ def _cmd_analyze(args) -> int:
                 "critical_path": list(analysis.cp_nodes),
                 "feasible": analysis.feasible,
                 "min_cores": analysis.min_cores,
-                "rank_order": list(analysis.rank_order),
+                "rank_order": sorted(analysis.rank_pos, key=analysis.rank_pos.__getitem__),
                 "nodes": [
                     {
                         "id": nid,

@@ -300,10 +300,16 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_schedule; ok iff no violations were found."""
+    """Outcome of validate_schedule: the violations found, in sorted order.
 
-    ok: bool
+    violations is the one stored field; ok is derived, True iff it is empty.
+    """
+
     violations: tuple[Violation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _locus(e: ScheduleEntry, core_idx: int) -> str:
@@ -418,7 +424,7 @@ def validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationReport:
                         ))
 
     violations.sort(key=lambda v: (v.kind, v.where))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))
 
 
 # --- document formats -------------------------------------------------------

@@ -86,23 +86,31 @@ class Placement:
 class ScheduleResult:
     """Outcome of schedule_taskset.
 
-    On success, schedule carries the full hyperperiod map.  reason is
-    NOT_ENOUGH_CORES when the compacted schedule needs more cores than
-    available (cores_used still reports how many it needed), or
-    DAG_INFEASIBLE with the offending (dag_id, node_id) in infeasible.
+    Stored: schedule, the full hyperperiod map when it fits (else None);
+    cores_used, how many cores the compacted schedule needs (0 when a DAG
+    is infeasible); and infeasible, the offending (dag_id, node_id) of an
+    infeasible DAG.  Derived: success, True iff there is a schedule, and
+    reason, None on success, DAG_INFEASIBLE when infeasible is set and
+    NOT_ENOUGH_CORES otherwise.
     """
 
-    success: bool
     schedule: ScheduleMap | None
     cores_used: int
-    reason: str | None = None
     infeasible: tuple[int, int] | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.schedule is not None
+
+    @property
+    def reason(self) -> str | None:
+        if self.schedule is not None:
+            return None
+        return DAG_INFEASIBLE if self.infeasible is not None else NOT_ENOUGH_CORES
 
 
 def primary_schedule(
-    dag: DagSpec,
-    analysis: DagAnalysis | None = None,
-    trace: list[str] | None = None,
+    dag: DagSpec, analysis: DagAnalysis, trace: list[str] | None = None
 ) -> list[list[Placement]]:
     """Build the one-period schedule of a single DAG, stretching to the deadline.
 
@@ -114,14 +122,15 @@ def primary_schedule(
     only when no existing core leaves room above the node's earliest start;
     if even a fresh core cannot, the DAG is infeasible outright.
 
+    analysis is the caller's analyze_dag(dag): this function never runs
+    the analysis itself, and stack_extended_schedules, its one caller, is
+    the only place the scheduler calls analyze_dag.
     Returns one list of placements per core used (job index 0), each ranked
     by its node's prior-plus load and bounded by its earliest start and
     latest finish from the analysis.
     """
     if not dag.nodes:
         return []
-    if analysis is None:
-        analysis = analyze_dag(dag)
     est, lft = analysis.est, analysis.lft
     rank_pos, prior = analysis.rank_pos, analysis.prior_plus
 
@@ -549,23 +558,8 @@ def schedule_taskset(ts: TaskSet, m: int, trace: list[str] | None = None) -> Sch
         lanes = stack_extended_schedules(ts, trace=trace)
         lanes = compact(lanes, ts)
     except DagInfeasibleError as exc:
-        return ScheduleResult(
-            success=False,
-            schedule=None,
-            cores_used=0,
-            reason=DAG_INFEASIBLE,
-            infeasible=(exc.dag_id, exc.node_id),
-        )
+        return ScheduleResult(schedule=None, cores_used=0, infeasible=(exc.dag_id, exc.node_id))
     used = len(lanes)
     if used > m:
-        return ScheduleResult(
-            success=False,
-            schedule=None,
-            cores_used=used,
-            reason=NOT_ENOUGH_CORES,
-        )
-    return ScheduleResult(
-        success=True,
-        schedule=_to_schedule_map(lanes),
-        cores_used=used,
-    )
+        return ScheduleResult(schedule=None, cores_used=used)
+    return ScheduleResult(schedule=_to_schedule_map(lanes), cores_used=used)

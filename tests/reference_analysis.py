@@ -133,7 +133,7 @@ def estimate_min_cores(cluster_list: Sequence[Cluster]) -> int:
 
 
 def reference_analysis(dag: DagSpec) -> dict:
-    """Every DagAnalysis field by name, plus the clusters behind min_cores."""
+    """Every DagAnalysis field by name, plus the ranking and the clusters behind min_cores."""
     pp = prior_plus(dag)
     order = rank(dag, pp)
     levels = est_lft(dag)

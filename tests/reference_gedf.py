@@ -1,7 +1,7 @@
 """Reference GEDF-NP: the straightforward event-loop simulator.
 
 This is the earlier `gedf_np_simulate` kept verbatim in its logic so the
-tests can require an equal SimResult (success, trace and first miss) from
+tests can require an equal SimResult (trace and first miss, so success) from
 the production version.  It looks every DAG and node up through the task
 set, keys its unfinished-parent counts by (dag, node, job), rebuilds the
 trace with ScheduleMap.from_entries and finds the first miss in a pass
@@ -88,4 +88,4 @@ def reference_gedf_np_simulate(ts: TaskSet, m: int) -> SimResult:
         if e.finish > (e.job + 1) * ts.dag(e.dag_id).period
     ]
     first = min(misses, key=lambda x: (x.deadline, x.dag_id, x.node_id, x.job), default=None)
-    return SimResult(success=first is None, trace=trace, first_miss=first)
+    return SimResult(trace=trace, first_miss=first)

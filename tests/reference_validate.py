@@ -1,7 +1,7 @@
 """Reference validator: the earlier table-driven `validate_schedule`.
 
 This is the earlier `validate_schedule` kept verbatim in its logic so the
-tests can require an equal ValidationReport (ok, kinds, texts and order)
+tests can require an equal ValidationReport (kinds, texts and order, so ok)
 from the production version.  It builds a (dag, node, job) -> (wcet,
 release, deadline) table of every job instance, which the task set used
 to keep as its `job_table`, hashes every entry and precedence edge into
@@ -139,4 +139,4 @@ def reference_validate_schedule(mp: ScheduleMap, ts: TaskSet) -> ValidationRepor
                         )
 
     violations.sort(key=lambda v: (v.kind, v.where))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from dagsched.analysis import prior_plus, rank
+from dagsched.analysis import analyze_dag, prior_plus, rank
 from dagsched.baseline import gedf_np_simulate
 from dagsched.bench import GenConfig, generate_taskset, run_experiment
 from dagsched.cli import run_cli
@@ -104,7 +104,7 @@ def test_c3_worked_examples():
     assert prior_plus(diamond) == {1: 1, 2: 4, 3: 3, 4: 7}
     assert rank(diamond, prior_plus(diamond)) == [4, 2, 3, 1]
 
-    primary = primary_schedule(diamond)
+    primary = primary_schedule(diamond, analyze_dag(diamond))
     assert lanes_layout(primary) == [
         [(1, 1, 0, 3, 4), (1, 2, 0, 4, 7), (1, 4, 0, 7, 8)],
         [(1, 3, 0, 5, 7)],
@@ -116,7 +116,8 @@ def test_c3_worked_examples():
     ]
 
     chain = build_dag(1, 10, {1: 2, 2: 2}, [(1, 2)])
-    assert lanes_layout(primary_schedule(chain)) == [[(1, 1, 0, 6, 8), (1, 2, 0, 8, 10)]]
+    lanes = primary_schedule(chain, analyze_dag(chain))
+    assert lanes_layout(lanes) == [[(1, 1, 0, 6, 8), (1, 2, 0, 8, 10)]]
 
 
 def test_c4_compaction_properties():
@@ -136,7 +137,7 @@ def test_c5_extension_arithmetic():
     ts = TaskSet.build([slow, fast])
     assert ts.hyperperiod == 20
 
-    one_period = compact(primary_schedule(fast), ts)
+    one_period = compact(primary_schedule(fast, analyze_dag(fast)), ts)
     extended = extend(one_period, fast, 20)
     for lane, base in zip(extended, one_period):
         jobs = {}

@@ -129,7 +129,7 @@ def test_clusters_reject_infeasible_window():
 def test_analyze_dag_bundles_and_infeasible_flag(diamond):
     analysis = analyze_dag(diamond)
     assert analysis.feasible and analysis.min_cores == 2
-    assert analysis.rank_order == (4, 2, 3, 1)
+    assert sorted(analysis.rank_pos, key=analysis.rank_pos.__getitem__) == [4, 2, 3, 1]
     assert analysis.rank_pos[4] == 0
 
     bad = build_dag(1, 8, {1: 4, 2: 5}, [(1, 2)])
@@ -190,8 +190,10 @@ def test_structural_invariants(dag):
 def assert_matches_reference(dag):
     want = ref.reference_analysis(dag)
     del want["clusters"]  # only min_cores is kept from them
+    order = want.pop("rank_order")  # derived from rank_pos where it is needed
     got = analyze_dag(dag)
     assert {f.name: getattr(got, f.name) for f in fields(DagAnalysis)} == want
+    assert tuple(sorted(got.rank_pos, key=got.rank_pos.__getitem__)) == order
     assert prior_plus(dag) == want["prior_plus"]
     assert windows(dag) == ref.est_lft(dag)
     assert analyzed_cp(dag) == ref.critical_path(dag)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -549,7 +550,22 @@ def test_gantt_skips_gridlines_closer_than_a_few_pixels():
     svg = render_gantt(load_schedule('{"num_cores": 1, "entries": []}'), ts)
     assert len(svg.encode()) < 64 * 1024
     assert svg.count('stroke-dasharray="3,3"') == 1
-    assert f'<line x1="{64 + 100000 * 4}" y1="28"' in svg
+    # 4 px per tick would be 400000 px wide: the plot is capped at 4000 px
+    assert f'<line x1="{64 + 4000}" y1="28"' in svg
+
+
+def test_gantt_scales_a_long_hyperperiod_to_the_width_cap():
+    # hyperperiod 3001 at 4 px per tick would be 12004 px: ticks shrink to
+    # 4000/3001 px, and coordinates that are not whole get two decimals
+    ts = TaskSet.build([build_dag(1, 3001, {1: 1, 2: 1000}, [(1, 2)])])
+    mp = ScheduleMap.from_entries(1, [ScheduleEntry(1, 1, 0, 0, 0, 1),
+                                      ScheduleEntry(1, 2, 0, 0, 1000, 2000)])
+    svg = render_gantt(mp, ts)
+    assert '<svg xmlns="http://www.w3.org/2000/svg" width="4080" ' in svg
+    assert '<rect x="1396.89" y="33" width="1332.89" ' in svg
+    numbers = re.findall(r' (?:x|x1|x2|width)="([^"]*)"', svg)
+    assert numbers and all(re.fullmatch(r"\d+(\.\d\d?)?", v) for v in numbers)
+    assert max(map(float, numbers)) == 4080
 
 
 @pytest.mark.parametrize("empty_dags,period,hyperperiod", [(1, 2, 999998), (99, 10, 1000)])
@@ -563,4 +579,5 @@ def test_gantt_draws_a_bounded_number_of_gridlines(empty_dags, period, hyperperi
     svg = render_gantt(mp, ts)
     assert len(svg.encode()) < 64 * 1024
     assert 1 <= svg.count('stroke-dasharray="3,3"') <= bench._GRID_MAX_LINES
-    assert f'<line x1="{64 + hyperperiod * 4}" y1="28"' in svg
+    assert f'<line x1="{64 + min(hyperperiod * 4, 4000)}" y1="28"' in svg
+    assert '<svg xmlns="http://www.w3.org/2000/svg" width="4080" ' in svg

@@ -423,7 +423,7 @@ def test_bench_validation_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     # a claimed success that fails validation is a scheduler bug: one error
     # line naming the collection and exit 2, never status 1 or a traceback
     def reject(mp, ts):
-        return ValidationReport(ok=False, violations=(Violation("overlap", "core 0"),))
+        return ValidationReport(violations=(Violation("overlap", "core 0"),))
 
     monkeypatch.setattr(bench, "validate_schedule", reject)
     cfg = tmp_path / "cfg.json"

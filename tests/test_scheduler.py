@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dagsched import analysis, scheduler
-from dagsched.analysis import prior_plus
+from dagsched.analysis import analyze_dag, prior_plus
 from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import TaskSet, build_dag, dumps_schedule, validate_schedule
 from dagsched.scheduler import (
@@ -69,7 +69,7 @@ DIAMOND_COMPACT = [[(1, 1, 0, 0, 1), (1, 3, 0, 1, 3), (1, 2, 0, 4, 7), (1, 4, 0,
 def test_dynamic_lft_examples(diamond):
     # every diamond node finishes at its latest finish: the deadline for an
     # exit node, else the earliest start of its placed children
-    at = {p.node_id: p for lane in primary_schedule(diamond) for p in lane}
+    at = {p.node_id: p for lane in primary_schedule(diamond, analyze_dag(diamond)) for p in lane}
     assert at[4].finish == 8  # exit node
     assert at[2].finish == at[4].start == 7  # child placed at [7,8)
     assert at[1].finish == min(at[2].start, at[3].start) == 4  # min(4, 5)
@@ -79,37 +79,39 @@ def test_dynamic_lft_examples(diamond):
 
 
 def test_primary_single_node_stretches_to_deadline():
-    lanes = primary_schedule(single_node_dag(period=5, wcet=2))
+    dag = single_node_dag(period=5, wcet=2)
+    lanes = primary_schedule(dag, analyze_dag(dag))
     assert by_node(lanes) == [[(1, 1, 0, 3, 5)]]
 
 
 def test_primary_chain(chain):
-    lanes = primary_schedule(chain)
+    lanes = primary_schedule(chain, analyze_dag(chain))
     assert by_node(lanes) == [[(1, 1, 0, 6, 8), (1, 2, 0, 8, 10)]]
 
 
 def test_primary_diamond_two_cores(diamond, diamond_ts):
-    lanes = primary_schedule(diamond)
+    lanes = primary_schedule(diamond, analyze_dag(diamond))
     assert by_node(lanes) == DIAMOND_PRIMARY
     assert_ranked(lanes, diamond_ts)
 
 
 def test_primary_sets_static_windows(diamond, diamond_ts):
     # est 0, 1, 1, 4 and lft 4, 7, 7, 8 for s, a, b, t
-    lanes = primary_schedule(diamond)
+    lanes = primary_schedule(diamond, analyze_dag(diamond))
     windows = {p.node_id: (p.lo, p.hi) for lane in lanes for p in lane}
     assert windows == {1: (0, 4), 2: (1, 7), 3: (1, 7), 4: (4, 8)}
     assert_windowed(lanes, diamond_ts)
 
 
 def test_primary_empty_dag():
-    assert primary_schedule(build_dag(1, 5, {})) == []
+    dag = build_dag(1, 5, {})
+    assert primary_schedule(dag, analyze_dag(dag)) == []
 
 
 def test_primary_infeasible_chain_raises():
     dag = build_dag(1, 8, {1: 4, 2: 5}, [(1, 2)])
     with pytest.raises(DagInfeasibleError) as err:
-        primary_schedule(dag)
+        primary_schedule(dag, analyze_dag(dag))
     assert err.value.dag_id == 1
 
 
@@ -118,7 +120,7 @@ def test_primary_precedence_by_construction():
     rng = random.Random(11)
     for _ in range(40):
         dag = random_dag(rng, max_nodes=10)
-        lanes = primary_schedule(dag)
+        lanes = primary_schedule(dag, analyze_dag(dag))
         assert_ranked(lanes, TaskSet.build([dag]))
         assert_windowed(lanes, TaskSet.build([dag]))
         pos = {p.node_id: p for lane in lanes for p in lane}
@@ -140,7 +142,7 @@ def test_primary_stretching_invariant():
     rng = random.Random(13)
     for _ in range(40):
         dag = random_dag(rng, max_nodes=10)
-        for lane in primary_schedule(dag):
+        for lane in primary_schedule(dag, analyze_dag(dag)):
             if not lane:
                 continue
             latest = max(lane, key=lambda p: p.start)
@@ -150,7 +152,7 @@ def test_primary_stretching_invariant():
 
 def test_primary_trace_is_bottom_up(diamond):
     trace: list[str] = []
-    primary_schedule(diamond, trace=trace)
+    primary_schedule(diamond, analyze_dag(diamond), trace=trace)
     order = [int(line.split("node ")[1].split(" ")[0]) for line in trace]
     assert order == [4, 2, 3, 1]  # rank order, children always before parents
 
@@ -159,13 +161,13 @@ def test_primary_trace_is_bottom_up(diamond):
 
 
 def test_compact_diamond_to_one_core(diamond, diamond_ts):
-    lanes = primary_schedule(diamond)
+    lanes = primary_schedule(diamond, analyze_dag(diamond))
     got = compact(lanes, diamond_ts)
     assert by_node(got) == DIAMOND_COMPACT
 
 
 def test_compact_is_idempotent_on_diamond(diamond, diamond_ts):
-    once = compact(primary_schedule(diamond), diamond_ts)
+    once = compact(primary_schedule(diamond, analyze_dag(diamond)), diamond_ts)
     layout = by_node(once)
     assert by_node(compact(once, diamond_ts)) == layout
 
@@ -173,7 +175,7 @@ def test_compact_is_idempotent_on_diamond(diamond, diamond_ts):
 def test_compact_fully_packed_core_is_fixpoint():
     dag = build_dag(1, 6, {1: 2, 2: 2, 3: 2}, [(1, 2), (2, 3)])
     ts = TaskSet.build([dag])
-    lanes = primary_schedule(dag)
+    lanes = primary_schedule(dag, analyze_dag(dag))
     layout = by_node(lanes)
     assert layout == [[(1, 1, 0, 0, 2), (1, 2, 0, 2, 4), (1, 3, 0, 4, 6)]]
     assert by_node(compact(lanes, ts)) == layout
@@ -185,7 +187,7 @@ def test_compact_moves_the_placements_it_is_given(diamond, diamond_ts):
     # back the loosened trial and keeps one restretch trial, so restore
     # runs on the caller's placements too.
     ts, _ = generate_taskset(GenConfig(), 5)
-    for lanes, tset in ((primary_schedule(diamond), diamond_ts),
+    for lanes, tset in ((primary_schedule(diamond, analyze_dag(diamond)), diamond_ts),
                         (stack_extended_schedules(ts), ts)):
         before = copy_lanes(lanes)
         members = [[id(p) for p in lane] for lane in lanes]
@@ -200,7 +202,7 @@ def test_compact_returns_plain_placements_without_links(diamond, diamond_ts):
     # the placements come back as the type compact's signature names, with
     # the links to their parent and child placements cleared
     ts, _ = generate_taskset(GenConfig(), 5)
-    for lanes, tset in ((primary_schedule(diamond), diamond_ts),
+    for lanes, tset in ((primary_schedule(diamond, analyze_dag(diamond)), diamond_ts),
                         (stack_extended_schedules(ts), ts)):
         for lane in compact(lanes, tset):
             for p in lane:
@@ -213,7 +215,7 @@ def test_compact_preserves_entries_and_core_count(diamond_ts):
     for _ in range(25):
         dag = random_dag(rng, max_nodes=9)
         ts = TaskSet.build([dag])
-        lanes = primary_schedule(dag)
+        lanes = primary_schedule(dag, analyze_dag(dag))
         got = compact(lanes, ts)
         assert len(got) <= len([lane for lane in lanes if lane])
         assert entry_multiset(got) == entry_multiset(lanes)
@@ -224,7 +226,7 @@ def test_compact_preserves_entries_and_core_count(diamond_ts):
 
 def test_extend_shifts_copies():
     dag = single_node_dag(period=5, wcet=2)
-    lanes = primary_schedule(dag)
+    lanes = primary_schedule(dag, analyze_dag(dag))
     got = extend(lanes, dag, 15)
     assert by_node(got) == [[(1, 1, 0, 3, 5), (1, 1, 1, 8, 10), (1, 1, 2, 13, 15)]]
     assert_ranked(got, TaskSet.build([dag]))
@@ -234,7 +236,7 @@ def test_extend_shifts_copies():
 def test_extend_shifts_static_windows(diamond):
     # copy k's window is copy 0's shifted by k periods, for every node
     ts = TaskSet.build([diamond, build_dag(2, 24, {1: 1})])
-    one_period = primary_schedule(diamond)
+    one_period = primary_schedule(diamond, analyze_dag(diamond))
     got = extend(one_period, diamond, ts.hyperperiod)
     base = {p.node_id: (p.lo, p.hi) for lane in one_period for p in lane}
     for lane in got:
@@ -247,7 +249,7 @@ def test_extend_shifts_static_windows(diamond):
 
 def test_extend_single_copy_when_period_equals_horizon():
     dag = single_node_dag(period=20, wcet=2)
-    got = extend(primary_schedule(dag), dag, 20)
+    got = extend(primary_schedule(dag, analyze_dag(dag)), dag, 20)
     assert [len(lane) for lane in got] == [1]
     assert got[0][0].job == 0
 
@@ -255,7 +257,7 @@ def test_extend_single_copy_when_period_equals_horizon():
 def test_extend_rejects_non_multiple_horizon():
     dag = single_node_dag(period=6, wcet=1)
     with pytest.raises(ValueError, match="multiple"):
-        extend(primary_schedule(dag), dag, 15)
+        extend(primary_schedule(dag, analyze_dag(dag)), dag, 15)
 
 
 # --- whole-task-set pipeline --------------------------------------------------
