@@ -29,7 +29,7 @@ from .model import (
     build_dag,
     validate_schedule,
 )
-from .scheduler import DAG_INFEASIBLE, schedule_taskset
+from .scheduler import schedule_taskset
 
 MAX_DRAWS = 1000  # attempts per DAG before the generator gives up
 _EDGE_BLOCK = 1 << 16  # edge draws skipped per getrandbits call (512 KiB of bits)
@@ -48,7 +48,7 @@ class GenerationError(RuntimeError):
 
 
 class ExperimentError(RuntimeError):
-    """A schedule claimed success but failed validation (a scheduler bug)."""
+    """A scheduler map or a baseline success failed validation (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -272,27 +272,24 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
 
     Returns the collection's rows (for each m in the order given, the
     proposed row then the baseline row) and its redraw count.  The proposed
-    scheduler's placement does not depend on the core budget (the budget
-    only gates acceptance), so the collection is scheduled once at max(ms)
-    and compared against every m.  The baseline is simulated once per m.
-    Every claimed success is re-checked by the validator, and a validation
-    failure raises ExperimentError naming the collection for replay.  A
-    schedule that validates runs every job once for its wcet, so both
-    algorithms' busy time is the task set's work over the hyperperiod,
-    counted once.
+    scheduler builds one map on as many cores as it needs, and it succeeds
+    at each m that its core count fits.  Generated DAGs always fit their
+    periods, so the scheduler never raises DagInfeasibleError here.  The
+    baseline is simulated once per m.  Every map and every baseline success
+    is re-checked by the validator, and a validation failure raises
+    ExperimentError naming the collection for replay.  A schedule that
+    validates runs every job once for its wcet, so both algorithms' busy
+    time is the task set's work over the hyperperiod, counted once.
     """
     ts, redraws = generate_taskset(cfg, c)
     busy = sum(d.total_work * (ts.hyperperiod // d.period) for d in ts.dags)
-    res = schedule_taskset(ts, max(ms))
-    used = res.cores_used
-    p_util = None
-    if res.success:
-        _validate(res.schedule, ts, cfg, c, "scheduler output")
-        if used:
-            p_util = busy / (used * ts.hyperperiod)
+    mp = schedule_taskset(ts)
+    _validate(mp, ts, cfg, c, "scheduler output")
+    used = mp.num_cores
+    p_util = busy / (used * ts.hyperperiod)
     rows = []
     for m in ms:
-        p_ok = res.reason != DAG_INFEASIBLE and used <= m
+        p_ok = used <= m
         rows.append(
             Row(c, m, PROPOSED, p_ok, used, p_util if p_ok else None, ts.hyperperiod, cfg.seed)
         )
@@ -451,8 +448,8 @@ def spot_check_report(report: ExperimentReport, sample: int = 3) -> None:
 
     Reports carry no schedules, but every row is reproducible from the
     config and seed; this reruns a sample of collections through the same
-    per-collection path as run_experiment, which re-validates every claimed
-    success, and requires rows equal to the report's.  Raises
+    per-collection path as run_experiment, which re-validates every map and
+    baseline success, and requires rows equal to the report's.  Raises
     ExperimentError on any mismatch.
     """
     collections = sorted({r.collection for r in report.rows})

@@ -28,7 +28,7 @@ from .bench import (
 from .model import (
     _load_json, dumps_schedule, dumps_taskset, load_schedule, load_taskset, validate_schedule,
 )
-from .scheduler import DAG_INFEASIBLE, schedule_taskset
+from .scheduler import DagInfeasibleError, schedule_taskset
 
 
 def _read(path: str) -> str:
@@ -82,22 +82,28 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_schedule(args) -> int:
     ts = load_taskset(_read(args.infile))
+    if args.cores < 1:
+        _say(f"error: core count must be >= 1, got {args.cores}")
+        return 2
     trace: list[str] | None = [] if args.trace else None
-    result = schedule_taskset(ts, args.cores, trace=trace)
-    if trace:
-        for line in trace:
-            _say(line)
-    if result.success:
-        _emit(dumps_schedule(result.schedule), args.out)
-        unit = "core" if result.cores_used == 1 else "cores"
-        _say(f"schedulable: {result.cores_used} {unit} used (limit {args.cores})")
-        return 0
-    if result.reason == DAG_INFEASIBLE:
-        dag_id, node_id = result.infeasible
-        _say(f"unschedulable: dag {dag_id} node {node_id} cannot meet its deadline on any core count")
-    else:
-        _say(f"unschedulable: needs {result.cores_used} cores, only {args.cores} available")
-    return 1
+    infeasible = None
+    try:
+        mp = schedule_taskset(ts, trace=trace)
+    except DagInfeasibleError as exc:
+        infeasible = exc
+    for line in trace or ():
+        _say(line)
+    if infeasible is not None:
+        _say(f"unschedulable: dag {infeasible.dag_id} node {infeasible.node_id} "
+             f"cannot meet its deadline on any core count")
+        return 1
+    used = mp.num_cores
+    if used > args.cores:
+        _say(f"unschedulable: needs {used} cores, only {args.cores} available")
+        return 1
+    _emit(dumps_schedule(mp), args.out)
+    _say(f"schedulable: {used} {'core' if used == 1 else 'cores'} used (limit {args.cores})")
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -155,6 +161,9 @@ def _cmd_bench(args) -> int:
         _say(f"error: --cores takes comma-separated integers, got {args.cores!r}")
         return 2
     # the report is written only after the whole experiment: fail before it
+    if os.path.basename(args.out) in ("", ".", ".."):
+        _say(f"error: --out must end in a file name prefix, got {args.out!r}")
+        return 2
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         _say(f"error: no such directory: {out_dir}")
@@ -243,7 +252,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         _say(f"error: no such file: {exc.filename}")
         return 2
-    # ExperimentError (a claimed success that failed validation) is a
+    # ExperimentError (a schedule that failed validation) is a
     # scheduler bug, not an unschedulable input, so it must not exit with 1.
     # OverflowError covers a hyperperiod beyond the 64-bit tick range.
     except (GenerationError, ExperimentError, ValueError, OverflowError, OSError) as exc:

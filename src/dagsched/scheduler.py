@@ -6,14 +6,14 @@ each task as late as its children's placements allow, so the front of every
 core stays free for tighter work.  A gap-filling compaction pass then migrates
 low-priority tasks into earlier holes and drops emptied cores, the one-period
 map is repeated across the hyperperiod, and a final compaction pass over all
-DAGs merges their core blocks.  The task set is accepted iff the merged
-schedule fits the available core count.
+DAGs merges their core blocks.  The merged map uses as many cores as it
+needs; a caller accepts the task set on m cores iff the map's num_cores is at
+most m.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Sequence
@@ -22,8 +22,6 @@ from typing import Sequence
 from .analysis import DagAnalysis, analyze_dag, prior_plus
 from .model import DagSpec, ScheduleEntry, ScheduleMap, TaskSet
 
-NOT_ENOUGH_CORES = "not_enough_cores"
-DAG_INFEASIBLE = "dag_infeasible"
 _RESTRETCH_CYCLES = 3  # restretch+sweep cycles in each restretch trial of compact
 _WIDTH = attrgetter("width")
 
@@ -82,33 +80,6 @@ class Placement:
         )
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
-    """Outcome of schedule_taskset.
-
-    Stored: schedule, the full hyperperiod map when it fits (else None);
-    cores_used, how many cores the compacted schedule needs (0 when a DAG
-    is infeasible); and infeasible, the offending (dag_id, node_id) of an
-    infeasible DAG.  Derived: success, True iff there is a schedule, and
-    reason, None on success, DAG_INFEASIBLE when infeasible is set and
-    NOT_ENOUGH_CORES otherwise.
-    """
-
-    schedule: ScheduleMap | None
-    cores_used: int
-    infeasible: tuple[int, int] | None = None
-
-    @property
-    def success(self) -> bool:
-        return self.schedule is not None
-
-    @property
-    def reason(self) -> str | None:
-        if self.schedule is not None:
-            return None
-        return DAG_INFEASIBLE if self.infeasible is not None else NOT_ENOUGH_CORES
-
-
 def primary_schedule(
     dag: DagSpec, analysis: DagAnalysis, trace: list[str] | None = None
 ) -> list[list[Placement]]:
@@ -119,8 +90,13 @@ def primary_schedule(
     maximizing alpha = min(latest finish, start of the core's earliest entry),
     finishing exactly at alpha; a node's latest finish is its children's
     earliest start, or the deadline for an exit node.  A fresh core is opened
-    only when no existing core leaves room above the node's earliest start;
-    if even a fresh core cannot, the DAG is infeasible outright.
+    only when no existing core leaves room above the node's earliest start.
+
+    Raises DagInfeasibleError iff not analysis.feasible (the critical path
+    exceeds the deadline), naming the exit node with the lowest rank_pos
+    among those whose est + wcet exceeds the deadline: every placed node
+    starts at or after its earliest start, so only such an exit node can
+    find no room, and the exit nodes are taken in rank_pos order.
 
     analysis is the caller's analyze_dag(dag): this function never runs
     the analysis itself, and stack_extended_schedules, its one caller, is
@@ -528,13 +504,21 @@ def stack_extended_schedules(ts: TaskSet, trace: list[str] | None = None) -> lis
     return stacked
 
 
-def _to_schedule_map(lanes: Sequence[Sequence[Placement]]) -> ScheduleMap:
-    """The map of compacted lanes, each already in the map's lane order.
+def schedule_taskset(ts: TaskSet, trace: list[str] | None = None) -> ScheduleMap:
+    """Schedule a whole task set on as many cores as it needs.
+
+    Builds every DAG's stretched-and-compacted hyperperiod block, then runs
+    one compaction pass across all of them (the semi-partitioned step: most
+    cores keep one DAG's tasks, merged cores host several).  Returns the
+    map, whose num_cores is the core count the set needs: the set fits m
+    cores iff num_cores <= m.  Raises DagInfeasibleError when a DAG's
+    critical path exceeds its deadline.
 
     A compacted lane is sorted by start with no overlap, so no two of its
     entries share a start and start order is the map's (start, finish,
     dag, node, job) order: the lanes need no regrouping or re-sort.
     """
+    lanes = compact(stack_extended_schedules(ts, trace=trace), ts)
     new = tuple.__new__  # builds an entry without the named tuple's Python-level __new__
     cores = tuple(
         tuple([new(ScheduleEntry, (p.dag_id, p.node_id, p.job, core, p.start, p.finish))
@@ -542,24 +526,3 @@ def _to_schedule_map(lanes: Sequence[Sequence[Placement]]) -> ScheduleMap:
         for core, lane in enumerate(lanes)
     )
     return ScheduleMap(num_cores=len(lanes), cores=cores)
-
-
-def schedule_taskset(ts: TaskSet, m: int, trace: list[str] | None = None) -> ScheduleResult:
-    """Schedule a whole task set onto at most m cores.
-
-    Builds every DAG's stretched-and-compacted hyperperiod block, then runs
-    one compaction pass across all of them (the semi-partitioned step: most
-    cores keep one DAG's tasks, merged cores host several).  Succeeds iff
-    the result fits in m cores.
-    """
-    if m < 1:
-        raise ValueError(f"core count must be >= 1, got {m}")
-    try:
-        lanes = stack_extended_schedules(ts, trace=trace)
-        lanes = compact(lanes, ts)
-    except DagInfeasibleError as exc:
-        return ScheduleResult(schedule=None, cores_used=0, infeasible=(exc.dag_id, exc.node_id))
-    used = len(lanes)
-    if used > m:
-        return ScheduleResult(schedule=None, cores_used=used)
-    return ScheduleResult(schedule=_to_schedule_map(lanes), cores_used=used)

@@ -36,7 +36,7 @@ def test_schedule_diamond_exit_0(tmp_path, capsys):
     code = run_cli(["schedule", "--in", str(ts_path), "--cores", "1", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "1 core used" in captured.err
+    assert captured.err == "schedulable: 1 core used (limit 1)\n"
     mp = load_schedule(out.read_text())
     assert mp.num_cores == 1
 
@@ -48,7 +48,19 @@ def test_schedule_failure_exit_1(tmp_path, capsys):
     code = run_cli(["schedule", "--in", str(path), "--cores", "1"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "unschedulable" in captured.err
+    assert (captured.out, captured.err) == ("", "unschedulable: needs 2 cores, only 1 available\n")
+    assert run_cli(["schedule", "--in", str(path), "--cores", "3", "--out", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().err == "schedulable: 2 cores used (limit 3)\n"
+
+
+@pytest.mark.parametrize("cores", ["0", "-3"])
+def test_schedule_core_count_below_one_is_usage_error(tmp_path, capsys, cores):
+    # checked once the task set loads and before any placement, so --trace
+    # logs no placement line
+    ts_path, _ = write_diamond(tmp_path)
+    assert run_cli(["schedule", "--in", str(ts_path), "--cores", cores, "--trace"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: core count must be >= 1, got {cores}\n")
 
 
 def test_schedule_document_goes_to_stdout(tmp_path, capsys):
@@ -70,7 +82,7 @@ def test_schedule_trace_flag(tmp_path, capsys):
 
 def test_validate_good_and_bad(tmp_path, capsys):
     ts_path, ts = write_diamond(tmp_path)
-    good = schedule_taskset(ts, 2).schedule
+    good = schedule_taskset(ts)
     good_path = tmp_path / "good.json"
     good_path.write_text(dumps_schedule(good))
     assert run_cli(["validate", "--in", str(ts_path), "--schedule", str(good_path)]) == 0
@@ -190,7 +202,7 @@ def test_documents_of_the_seed_0_set_are_pinned(tmp_path, capsys, command, code,
 def test_render_writes_svg(tmp_path):
     ts_path, ts = write_diamond(tmp_path)
     sched = tmp_path / "s.json"
-    sched.write_text(dumps_schedule(schedule_taskset(ts, 2).schedule))
+    sched.write_text(dumps_schedule(schedule_taskset(ts)))
     out = tmp_path / "g.svg"
     assert run_cli(["render", "--in", str(ts_path), "--schedule", str(sched),
                     "--out", str(out)]) == 0
@@ -200,7 +212,7 @@ def test_render_writes_svg(tmp_path):
 def test_render_of_a_foreign_entry_is_usage_error(tmp_path, capsys):
     # a one-DAG set cannot own an entry of dag 9
     ts_path, ts = write_diamond(tmp_path)
-    doc = json.loads(dumps_schedule(schedule_taskset(ts, 2).schedule))
+    doc = json.loads(dumps_schedule(schedule_taskset(ts)))
     doc["entries"].append({"dag": 9, "node": 1, "job": 0, "core": 0, "start": 7, "finish": 8})
     sched = tmp_path / "s.json"
     sched.write_text(json.dumps(doc))
@@ -272,7 +284,7 @@ def test_deeply_nested_document_is_usage_error(tmp_path, capsys, command):
     # JSON: exit 2 with one error line, not 1 with a RecursionError
     ts_path, ts = write_diamond(tmp_path)
     sched = tmp_path / "sched.json"
-    sched.write_text(dumps_schedule(schedule_taskset(ts, 1).schedule))
+    sched.write_text(dumps_schedule(schedule_taskset(ts)))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     paths = {"deep": deep, "ts": ts_path, "sched": sched, "report": tmp_path / "report"}
@@ -416,7 +428,9 @@ def test_schedule_infeasible_names_the_dag(tmp_path, capsys):
                                           "nodes": [{"id": 1, "wcet": 4}, {"id": 2, "wcet": 5}],
                                           "edges": [[1, 2]]}]}))
     assert run_cli(["schedule", "--in", str(path), "--cores", "64"]) == 1
-    assert "cannot meet its deadline" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unschedulable: dag 1 node 2 cannot meet its deadline on any core count\n"
 
 
 def test_bench_validation_failure_is_exit_2(tmp_path, capsys, monkeypatch):
@@ -447,6 +461,23 @@ def test_bench_into_a_missing_directory_fails_before_the_experiment(tmp_path, ca
     code = run_cli(["bench", "--seed", "0", "--cores", "4,8,16", "--out", str(out_dir / "r")])
     assert code == 2
     assert capsys.readouterr().err == f"error: no such directory: {out_dir}\n"
+
+
+@pytest.mark.parametrize("out", ["", "reports/", "."])
+def test_bench_out_without_a_file_name_fails_before_the_experiment(
+    tmp_path, capsys, monkeypatch, out
+):
+    # an empty file-name part would write the hidden files .json and .csv,
+    # and "." the files ..json and ..csv
+    def experiment(cfg, core_counts):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", experiment)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reports").mkdir()
+    assert run_cli(["bench", "--seed", "0", "--cores", "4", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out must end in a file name prefix, got {out!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["reports"]
 
 
 COMMANDS = ("analyze", "schedule", "simulate", "validate", "render")

@@ -68,11 +68,10 @@ def recorded_stages():
 
 def schedule_recorded(ts: TaskSet):
     with recorded_stages() as calls:
-        result = scheduler.schedule_taskset(ts, 1 << 20)
-    assert result.success
+        mp = scheduler.schedule_taskset(ts)
     # no schedule fits in fewer cores than the total utilization
-    assert result.cores_used >= math.ceil(sum(d.utilization for d in ts.dags))
-    return result, calls
+    assert mp.num_cores >= math.ceil(sum(d.utilization for d in ts.dags))
+    return mp, calls
 
 
 def assert_matches_reference(ts: TaskSet, calls) -> None:
@@ -179,8 +178,7 @@ def checked_rungs(ts: TaskSet):
 
 def schedule_checking_rungs(ts: TaskSet) -> None:
     with checked_rungs(ts) as calls:
-        result = scheduler.schedule_taskset(ts, 1 << 20)
-    assert result.success
+        scheduler.schedule_taskset(ts)
     # every compact call builds one compactor
     assert len(calls) == sum(1 for d in ts.dags if d.nodes) + 1
     for bound, rungs in calls:
@@ -233,12 +231,12 @@ def test_small_tasksets_match_reference(ts):
 @settings(max_examples=80, deadline=None)
 @given(small_tasksets())
 def test_every_stage_keeps_lanes_sorted_and_valid(ts):
-    result, calls = schedule_recorded(ts)
+    mp, calls = schedule_recorded(ts)
     # compact outputs cover the per-DAG and global stages, extend outputs
     # the extension stage
     for _, _, out in calls:
         assert_lanes_sorted_disjoint(out)
-    assert validate_schedule(result.schedule, ts).ok
+    assert validate_schedule(mp, ts).ok
 
 
 def test_every_retry_rung_is_legal_on_default_collections():
@@ -256,7 +254,7 @@ def test_compact_at_the_bound_after_the_baseline_sweeps_runs_no_trial():
     for c in range(DEFAULT_COLLECTIONS):
         ts, _ = generate_taskset(cfg, c)
         with checked_rungs(ts) as calls:
-            scheduler.schedule_taskset(ts, 1 << 20)
+            scheduler.schedule_taskset(ts)
         for bound, rungs in calls:
             if rungs[0][2] == bound:
                 at_bound += 1
@@ -296,7 +294,7 @@ def test_third_restretch_cycle_saves_a_core(seed, collection, cores):
     # on default-config seeds 0-2, the only sets where restretch cycle 3
     # lowers the core count; with two cycles each needs one core more
     ts, _ = generate_taskset(GenConfig(seed=seed), collection)
-    assert scheduler.schedule_taskset(ts, 1 << 20).cores_used == cores
+    assert scheduler.schedule_taskset(ts).num_cores == cores
 
 
 @pytest.mark.parametrize("collection,trials", [
@@ -359,7 +357,7 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
 
     monkeypatch.setattr(scheduler._Compactor, "_fill", counted_fill)
     monkeypatch.setattr(scheduler.Placement, "ups", property(counted_ups, ups.__set__))
-    assert scheduler.schedule_taskset(ts, 1 << 20).cores_used == 18
+    assert scheduler.schedule_taskset(ts).num_cores == 18
     # without the skip every mover in its window has its links read
     assert counts == {"in_window": 12038, "links_read": 5497}
 
@@ -372,9 +370,9 @@ def test_compaction_leaves_no_reference_cycles():
     gc.disable()
     try:
         for c in range(20):
-            scheduler.schedule_taskset(generate_taskset(GenConfig(), c)[0], 16)
+            scheduler.schedule_taskset(generate_taskset(GenConfig(), c)[0])
         ladder = GenConfig(collections=1, dags_per_collection=20, seed=3)
-        scheduler.schedule_taskset(generate_taskset(ladder, 0)[0], 1 << 20)
+        scheduler.schedule_taskset(generate_taskset(ladder, 0)[0])
         run_experiment(GenConfig(collections=5), [4, 8, 16])
         assert gc.collect() == 0
     finally:

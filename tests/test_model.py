@@ -372,9 +372,7 @@ def test_schedule_writer_matches_json_on_default_collections():
     cfg = GenConfig()
     for c in range(40):
         ts, _ = generate_taskset(cfg, c)
-        res = schedule_taskset(ts, 1 << 20)
-        if res.schedule is not None:
-            assert_writes_reference_document(res.schedule)
+        assert_writes_reference_document(schedule_taskset(ts))
         for m in (1, 2, 3, 4, 8, 16):
             assert_writes_reference_document(gedf_np_simulate(ts, m).trace)
 
@@ -569,7 +567,7 @@ def test_validator_catches_targeted_corruptions():
                         nodes_per_dag=(2, 7), wcet_range=(1, 5),
                         period_menu=(6, 12), seed=700 + i)
         ts, _ = generate_taskset(cfg, 0)
-        base = schedule_taskset(ts, 64).schedule
+        base = schedule_taskset(ts)
         entries = list(base.entries())
         assert validate_schedule(base, ts).ok
 
@@ -696,7 +694,7 @@ def _oracle_corpus():
     rng = random.Random(2525)
     for ts in sets:
         bound = math.ceil(sum(dag.utilization for dag in ts.dags))
-        maps = [gedf_np_simulate(ts, bound).trace, schedule_taskset(ts, 64).schedule]
+        maps = [gedf_np_simulate(ts, bound).trace, schedule_taskset(ts)]
         empty = build_dag(len(ts.dags) + 1, rng.choice((1, 7, ts.hyperperiod)), {})
         for ts_ in (ts, TaskSet.build(ts.dags + (empty,))):
             for mp in maps:

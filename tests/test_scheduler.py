@@ -10,8 +10,6 @@ from dagsched.analysis import analyze_dag, prior_plus
 from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import TaskSet, build_dag, dumps_schedule, validate_schedule
 from dagsched.scheduler import (
-    DAG_INFEASIBLE,
-    NOT_ENOUGH_CORES,
     DagInfeasibleError,
     Placement,
     compact,
@@ -113,6 +111,31 @@ def test_primary_infeasible_chain_raises():
     with pytest.raises(DagInfeasibleError) as err:
         primary_schedule(dag, analyze_dag(dag))
     assert err.value.dag_id == 1
+
+
+def test_primary_raises_iff_the_analysis_finds_the_dag_infeasible():
+    # the one infeasibility signal: primary_schedule raises iff the critical
+    # path exceeds the deadline, naming the first such exit node in rank order
+    rng = random.Random(3232)
+    raised = 0
+    for _ in range(400):
+        n = rng.randint(0, 9)  # node-less and one-node DAGs included
+        wcets = {i: rng.randint(1, 9) for i in range(1, n + 1)}
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < 0.4]
+        dag = build_dag(1, rng.randint(1, max(1, sum(wcets.values()))), wcets, edges)
+        an = analyze_dag(dag)
+        late = [nid for nid in dag.node_ids if not dag.node(nid).children
+                and an.est[nid] + dag.node(nid).wcet > dag.deadline]
+        try:
+            primary_schedule(dag, an)
+        except DagInfeasibleError as err:
+            raised += 1
+            assert not an.feasible
+            assert (err.dag_id, err.node_id) == (1, min(late, key=an.rank_pos.__getitem__))
+        else:
+            assert an.feasible and not late
+    assert 100 < raised < 300
 
 
 def test_primary_precedence_by_construction():
@@ -265,43 +288,32 @@ def test_extend_rejects_non_multiple_horizon():
 
 def test_schedule_single_node_taskset():
     ts = TaskSet.build([single_node_dag(period=5, wcet=2)])
-    res = schedule_taskset(ts, 1)
-    assert res.success and res.cores_used == 1
-    assert validate_schedule(res.schedule, ts).ok
+    mp = schedule_taskset(ts)
+    assert mp.num_cores == 1
+    assert validate_schedule(mp, ts).ok
 
 
 def test_schedule_diamond_compacts_to_one_core(diamond_ts):
-    res = schedule_taskset(diamond_ts, 1)
-    assert res.success and res.cores_used == 1
-    assert validate_schedule(res.schedule, ts=diamond_ts).ok
+    mp = schedule_taskset(diamond_ts)
+    assert mp.num_cores == 1
+    assert validate_schedule(mp, ts=diamond_ts).ok
 
 
 def test_schedule_infeasible_dag():
     ts = TaskSet.build([build_dag(1, 8, {1: 4, 2: 5}, [(1, 2)])])
-    res = schedule_taskset(ts, 64)
-    assert not res.success
-    assert res.reason == DAG_INFEASIBLE
-    assert res.infeasible[0] == 1
+    with pytest.raises(DagInfeasibleError) as err:
+        schedule_taskset(ts)
+    assert (err.value.dag_id, err.value.node_id) == (1, 2)
 
 
 def test_schedule_not_enough_cores():
     ts = TaskSet.build([build_dag(1, 4, {1: 4, 2: 4})])  # two parallel heavy nodes
-    res = schedule_taskset(ts, 1)
-    assert not res.success
-    assert res.reason == NOT_ENOUGH_CORES
-    assert res.cores_used == 2
+    # each node fills the period, so the map needs a core per node
+    assert schedule_taskset(ts).num_cores == 2
 
 
 def test_schedule_empty_taskset():
-    ts = TaskSet.build([])
-    res = schedule_taskset(ts, 1)
-    assert res.success and res.cores_used == 0
-    assert res.schedule.num_cores == 0
-
-
-def test_schedule_rejects_bad_core_count(diamond_ts):
-    with pytest.raises(ValueError):
-        schedule_taskset(diamond_ts, 0)
+    assert schedule_taskset(TaskSet.build([])).num_cores == 0
 
 
 def test_schedule_two_periods_interleave():
@@ -311,11 +323,10 @@ def test_schedule_two_periods_interleave():
             build_dag(2, 10, {1: 3}),
         ]
     )
-    res = schedule_taskset(ts, 2)
-    assert res.success
-    report = validate_schedule(res.schedule, ts)
-    assert report.ok
-    jobs = sorted((e.dag_id, e.node_id, e.job) for e in res.schedule.entries())
+    mp = schedule_taskset(ts)
+    assert mp.num_cores <= 2
+    assert validate_schedule(mp, ts).ok
+    jobs = sorted((e.dag_id, e.node_id, e.job) for e in mp.entries())
     assert jobs == [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 1, 1)]
 
 
@@ -323,10 +334,7 @@ def test_schedule_determinism():
     rng = random.Random(31)
     dags = [random_dag(rng, dag_id=i, max_nodes=8) for i in range(1, 4)]
     ts = TaskSet.build(dags)
-    a = schedule_taskset(ts, 16)
-    b = schedule_taskset(ts, 16)
-    assert a.success and b.success
-    assert dumps_schedule(a.schedule) == dumps_schedule(b.schedule)
+    assert dumps_schedule(schedule_taskset(ts)) == dumps_schedule(schedule_taskset(ts))
 
 
 def test_stacked_blocks_cover_each_dag_once():
@@ -360,10 +368,8 @@ def test_extension_count_invariant():
             for d in dags
         ]
         ts = TaskSet.build(dags)
-        res = schedule_taskset(ts, 64)
-        assert res.success
         per_dag: dict[int, int] = {}
-        for e in res.schedule.entries():
+        for e in schedule_taskset(ts).entries():
             per_dag[e.dag_id] = per_dag.get(e.dag_id, 0) + 1
         for dag in ts.dags:
             expected = len(dag.nodes) * (ts.hyperperiod // dag.period)
@@ -387,24 +393,24 @@ def test_one_prior_plus_per_dag(monkeypatch):
 
     monkeypatch.setattr(analysis, "prior_plus", counted)
     monkeypatch.setattr(scheduler, "prior_plus", forbidden)
-    assert schedule_taskset(ts, 1 << 20).success
+    schedule_taskset(ts)
     assert sorted(calls) == [d.dag_id for d in ts.dags if d.nodes]
 
 
 def test_zero_node_dag_contributes_nothing():
     ts = TaskSet.build([build_dag(1, 5, {}), build_dag(2, 5, {1: 2})])
-    res = schedule_taskset(ts, 1)
-    assert res.success and res.cores_used == 1
-    assert all(e.dag_id == 2 for e in res.schedule.entries())
+    mp = schedule_taskset(ts)
+    assert mp.num_cores == 1
+    assert all(e.dag_id == 2 for e in mp.entries())
 
 
 def test_huge_period_single_node():
     ts = TaskSet.build([build_dag(1, 2**62, {1: 5})])
-    res = schedule_taskset(ts, 1)
-    assert res.success
-    entry = next(iter(res.schedule.entries()))
+    mp = schedule_taskset(ts)
+    assert mp.num_cores == 1
+    entry = next(iter(mp.entries()))
     assert entry.finish - entry.start == 5
-    assert validate_schedule(res.schedule, ts).ok
+    assert validate_schedule(mp, ts).ok
 
 
 @pytest.mark.parametrize(
@@ -433,15 +439,14 @@ def test_huge_period_single_node():
          "hyperperiod-400", "hyperperiod-800", "hyperperiod-1600"],
 )
 def test_schedule_documents_are_pinned(cfg, collections, cores, digest):
-    # The schedule documents the pipeline writes, unbounded by the core
-    # budget: the core total over the collections, and the sha256 of their
-    # documents concatenated in collection order.  A change to placement or
-    # compaction that means to keep every output must keep both.
+    # The schedule documents the pipeline writes: the core total over the
+    # collections, and the sha256 of their documents concatenated in
+    # collection order.  A change to placement or compaction that means to
+    # keep every output must keep both.
     h = hashlib.sha256()
     total = 0
     for c in range(collections):
-        res = schedule_taskset(generate_taskset(cfg, c)[0], 1 << 20)
-        assert res.success, c
-        total += res.cores_used
-        h.update(dumps_schedule(res.schedule).encode())
+        mp = schedule_taskset(generate_taskset(cfg, c)[0])
+        total += mp.num_cores
+        h.update(dumps_schedule(mp).encode())
     assert (total, h.hexdigest()) == (cores, digest)
