@@ -32,6 +32,12 @@ from .model import (
 from .scheduler import schedule_taskset
 
 MAX_DRAWS = 1000  # attempts per DAG before the generator gives up
+# Edge draws one collection may spend, n(n - 1) / 2 per attempt at an
+# n-node DAG, before a rejected draw ends it.  MAX_DRAWS alone let a config
+# of 1000-node DAGs that can never fit draw 5e8 edges (10.6 s); this refuses
+# it after 17 attempts.  Seed 1's default sweep spends at most 1307 per
+# collection and the 160-DAG ladder set 16619.
+EDGE_BUDGET = 1 << 23
 _EDGE_BLOCK = 1 << 16  # edge draws skipped per getrandbits call (512 KiB of bits)
 
 PROPOSED = "proposed"
@@ -120,8 +126,8 @@ def stream(seed: int, *parts) -> random.Random:
     return random.Random(f"{seed}:" + ":".join(str(p) for p in parts))
 
 
-def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None:
-    """One random DAG, or None when its critical path exceeds its period.
+def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> tuple[DagSpec | None, int]:
+    """One random DAG, or None when its critical path exceeds its period, and its node count.
 
     The over-long draw is rejected before build_dag, after the same random
     bits a kept draw consumes, so the stream of later draws is unchanged.
@@ -175,7 +181,7 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None
                     getrandbits(64 * block)
                     left -= block
                 below(len(cfg.period_menu))
-                return None
+                return None, n
         for j in range(i + 1, n + 1):
             if uniform() < edge_prob:
                 edges.append((i, j))
@@ -183,8 +189,8 @@ def _draw_dag(cfg: GenConfig, rng: random.Random, dag_id: int) -> DagSpec | None
                     start[j] = finish
     period = cfg.period_menu[below(len(cfg.period_menu))]
     if cp_length > period:
-        return None
-    return build_dag(dag_id, period, wcets, edges)
+        return None, n
+    return build_dag(dag_id, period, wcets, edges), n
 
 
 def generate_taskset(cfg: GenConfig, collection_index: int) -> tuple[TaskSet, int]:
@@ -192,11 +198,13 @@ def generate_taskset(cfg: GenConfig, collection_index: int) -> tuple[TaskSet, in
 
     Infeasible draws (critical path longer than the drawn period) measure
     nothing about a scheduler, so they are rejected wholesale and the DAG is
-    redrawn; after MAX_DRAWS attempts a GenerationError names the collection,
-    the DAG and the config.
+    redrawn.  A GenerationError names the collection, the DAG and the config
+    after MAX_DRAWS attempts at one DAG, or at the first rejected draw once
+    the collection's attempts have spent more than EDGE_BUDGET edge draws.
     """
     dags = []
     redraws = 0
+    edge_draws = 0
     for d in range(1, cfg.dags_per_collection + 1):
         rng = stream(cfg.seed, "collection", collection_index, "dag", d)
         attempts = 0
@@ -207,15 +215,24 @@ def generate_taskset(cfg: GenConfig, collection_index: int) -> tuple[TaskSet, in
                     f"no feasible DAG after {MAX_DRAWS} draws "
                     f"(collection {collection_index}, dag {d}, config {cfg.to_doc()})"
                 )
-            dag = _draw_dag(cfg, rng, d)
+            dag, n = _draw_dag(cfg, rng, d)
+            edge_draws += n * (n - 1) // 2
             if dag is not None:
                 break
+            if edge_draws > EDGE_BUDGET:
+                raise GenerationError(
+                    f"no feasible DAG within {EDGE_BUDGET} edge draws, after {attempts} draws "
+                    f"(collection {collection_index}, dag {d}, config {cfg.to_doc()})"
+                )
             redraws += 1
         dags.append(dag)
     return TaskSet.build(dags), redraws
 
 
-@dataclass(frozen=True)
+# Rows and summaries have slots: a default report holds 1200 rows, and
+# with no __dict__ per object one report takes 0.132 MiB, not 0.189 MiB
+# (seed 1, tracemalloc).
+@dataclass(frozen=True, slots=True)
 class Row:
     """One (collection, core count, algorithm) outcome."""
 
@@ -229,7 +246,7 @@ class Row:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MSummary:
     """Aggregated rates for one core count."""
 

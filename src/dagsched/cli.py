@@ -204,7 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cores", type=int, required=True, help="available core count")
     p.add_argument("--out", help="schedule document path (default stdout)")
-    p.add_argument("--trace", action="store_true", help="log every placement to stderr")
+    p.add_argument("--trace", action="store_true",
+                   help="log the table's tries, the pipeline's placements when it runs, "
+                        "and the map chosen to stderr")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("simulate", help="run the GEDF-NP baseline")

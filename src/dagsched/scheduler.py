@@ -1,4 +1,12 @@
-"""Offline semi-partitioned scheduling of periodic DAG task sets.
+"""Offline scheduling of periodic DAG task sets: a table first, then the pipeline.
+
+Every DAG is analysed once.  The first candidate map is a list-scheduled
+table: the baseline's engine run with each node keyed by its job's release
+plus the node's latest start (ALAP priority), at ceil(total utilization)
+cores and the two counts above it.  When that table meets the bound no map
+can use fewer cores, and it is the map.  Otherwise the five-step pipeline
+runs on the same analyses and the map with fewer cores wins, ties going to
+the pipeline's map, the more partitioned one.
 
 The pipeline works per DAG, heaviest utilization first: place nodes backward
 from the deadline (exit nodes first, highest prior-plus load first), pulling
@@ -6,7 +14,8 @@ each task as late as its children's placements allow, so the front of every
 core stays free for tighter work.  A gap-filling compaction pass then migrates
 low-priority tasks into earlier holes and drops emptied cores, the one-period
 map is repeated across the hyperperiod, and a final compaction pass over all
-DAGs merges their core blocks.  The merged map uses as many cores as it
+DAGs merges their core blocks (semi-partitioned: most cores keep one DAG's
+tasks, merged cores host several).  Either map uses as many cores as it
 needs; a caller accepts the task set on m cores iff the map's num_cores is at
 most m.
 """
@@ -20,9 +29,16 @@ from typing import Sequence
 
 # prior_plus is unused here, but perfbench/tracer.py binds scheduler.prior_plus.
 from .analysis import DagAnalysis, analyze_dag, prior_plus
+from .baseline import list_schedule
 from .model import DagSpec, ScheduleEntry, ScheduleMap, TaskSet
 
 _RESTRETCH_CYCLES = 3  # restretch+sweep cycles in each restretch trial of compact
+# Core counts the table tries, from the bound up.  Success is not monotone
+# in the core count (Graham's anomalies), so the first success may lie above
+# a failure.  On the 2200 default sets of seeds 1-10 and 1009 it lay past
+# bound + 2 on 12, and on each of them the pipeline's map used fewer cores,
+# so the cap lost none.
+_TABLE_TRIES = 3
 _WIDTH = attrgetter("width")
 
 
@@ -33,6 +49,22 @@ class DagInfeasibleError(Exception):
         super().__init__(f"dag {dag_id}: node {node_id} cannot meet the deadline on any core")
         self.dag_id = dag_id
         self.node_id = node_id
+
+
+def _check_feasible(dag: DagSpec, analysis: DagAnalysis) -> None:
+    """Raise DagInfeasibleError unless analysis.feasible.
+
+    The error names the exit node with the lowest rank_pos among those whose
+    earliest start plus wcet exceeds the deadline: the node the backward
+    placement, which takes exit nodes in rank_pos order, would first find
+    no room for.  The critical path ends at an exit node, so a DAG is
+    infeasible iff some exit node is late.
+    """
+    if analysis.feasible:
+        return
+    late = [n.node_id for n in dag.nodes
+            if not n.children and analysis.est[n.node_id] + n.wcet > dag.deadline]
+    raise DagInfeasibleError(dag.dag_id, min(late, key=analysis.rank_pos.__getitem__))
 
 
 class Placement:
@@ -93,18 +125,19 @@ def primary_schedule(
     only when no existing core leaves room above the node's earliest start.
 
     Raises DagInfeasibleError iff not analysis.feasible (the critical path
-    exceeds the deadline), naming the exit node with the lowest rank_pos
-    among those whose est + wcet exceeds the deadline: every placed node
-    starts at or after its earliest start, so only such an exit node can
-    find no room, and the exit nodes are taken in rank_pos order.
+    exceeds the deadline), before placing anything (see _check_feasible).
+    A feasible DAG always finds room: a node's latest finish is the
+    deadline or a child's start, and either leaves its wcet above its
+    earliest start, so a fresh core always fits it.
 
     analysis is the caller's analyze_dag(dag): this function never runs
-    the analysis itself, and stack_extended_schedules, its one caller, is
-    the only place the scheduler calls analyze_dag.
+    the analysis itself, and analyze_taskset is the only place the
+    scheduler calls analyze_dag.
     Returns one list of placements per core used (job index 0), each ranked
     by its node's prior-plus load and bounded by its earliest start and
     latest finish from the analysis.
     """
+    _check_feasible(dag, analysis)
     if not dag.nodes:
         return []
     est, lft = analysis.est, analysis.lft
@@ -135,8 +168,6 @@ def primary_schedule(
                 best_core, best_alpha = i, alpha
         if best_alpha - node.wcet < est[nid]:
             # No existing core leaves room; a fresh one frees the whole period.
-            if latest - node.wcet < est[nid]:
-                raise DagInfeasibleError(dag.dag_id, nid)
             lanes.append([])
             free_until.append(deadline)
             best_core, best_alpha = len(lanes) - 1, latest
@@ -483,20 +514,34 @@ def extend(
     return out
 
 
-def stack_extended_schedules(ts: TaskSet, trace: list[str] | None = None) -> list[list[Placement]]:
+def analyze_taskset(ts: TaskSet) -> list[tuple[DagSpec, DagAnalysis]]:
+    """Each DAG with nodes and its analysis, heaviest utilization first.
+
+    This order is the pipeline's stacking order.  Raises DagInfeasibleError
+    for the first DAG in it whose critical path exceeds its deadline (see
+    _check_feasible), before any DAG after it is analysed.
+    """
+    analyses = []
+    for dag in sorted(ts.dags, key=lambda d: (-d.utilization, d.dag_id)):
+        if dag.nodes:
+            analysis = analyze_dag(dag)
+            _check_feasible(dag, analysis)
+            analyses.append((dag, analysis))
+    return analyses
+
+
+def stack_extended_schedules(
+    ts: TaskSet, analyses: Sequence[tuple[DagSpec, DagAnalysis]], trace: list[str] | None = None
+) -> list[list[Placement]]:
     """Per-DAG pipeline up to (but not including) the final global compaction.
 
-    DAGs are processed in descending utilization so the heaviest ones claim
-    the lowest core indices; each is primary-scheduled, compacted within its
-    own cores, extended over the hyperperiod, and its core block appended.
-    Raises DagInfeasibleError as soon as any DAG cannot fit its deadline.
+    analyses is analyze_taskset(ts): DAGs are processed in descending
+    utilization so the heaviest ones claim the lowest core indices; each is
+    primary-scheduled, compacted within its own cores, extended over the
+    hyperperiod, and its core block appended.
     """
-    order = sorted(ts.dags, key=lambda d: (-d.utilization, d.dag_id))
     stacked: list[list[Placement]] = []
-    for dag in order:
-        if not dag.nodes:
-            continue
-        analysis = analyze_dag(dag)
+    for dag, analysis in analyses:
         lanes = primary_schedule(dag, analysis=analysis, trace=trace)
         lanes = compact(lanes, ts)
         lanes = extend(lanes, dag, ts.hyperperiod)
@@ -504,21 +549,21 @@ def stack_extended_schedules(ts: TaskSet, trace: list[str] | None = None) -> lis
     return stacked
 
 
-def schedule_taskset(ts: TaskSet, trace: list[str] | None = None) -> ScheduleMap:
-    """Schedule a whole task set on as many cores as it needs.
+def pipeline_schedule(
+    ts: TaskSet, analyses: Sequence[tuple[DagSpec, DagAnalysis]], trace: list[str] | None = None
+) -> ScheduleMap:
+    """The five-step pipeline's map, on as many cores as it needs.
 
     Builds every DAG's stretched-and-compacted hyperperiod block, then runs
-    one compaction pass across all of them (the semi-partitioned step: most
-    cores keep one DAG's tasks, merged cores host several).  Returns the
-    map, whose num_cores is the core count the set needs: the set fits m
-    cores iff num_cores <= m.  Raises DagInfeasibleError when a DAG's
-    critical path exceeds its deadline.
+    one compaction pass across all of them.  analyses is
+    analyze_taskset(ts); trace, when given, receives one line per primary
+    placement.
 
     A compacted lane is sorted by start with no overlap, so no two of its
     entries share a start and start order is the map's (start, finish,
     dag, node, job) order: the lanes need no regrouping or re-sort.
     """
-    lanes = compact(stack_extended_schedules(ts, trace=trace), ts)
+    lanes = compact(stack_extended_schedules(ts, analyses, trace=trace), ts)
     new = tuple.__new__  # builds an entry without the named tuple's Python-level __new__
     cores = tuple(
         tuple([new(ScheduleEntry, (p.dag_id, p.node_id, p.job, core, p.start, p.finish))
@@ -526,3 +571,65 @@ def schedule_taskset(ts: TaskSet, trace: list[str] | None = None) -> ScheduleMap
         for core, lane in enumerate(lanes)
     )
     return ScheduleMap(num_cores=len(lanes), cores=cores)
+
+
+def table_schedule(
+    ts: TaskSet, analyses: Sequence[tuple[DagSpec, DagAnalysis]], bound: int,
+    trace: list[str] | None = None,
+) -> ScheduleMap | None:
+    """The ALAP list-scheduled table on the fewest cores it meets every deadline on.
+
+    Runs the baseline's engine with each node's offset its latest start
+    (latest finish less wcet, from analyses, which is analyze_taskset(ts))
+    at bound, bound + 1, ... for _TABLE_TRIES core counts, and returns the
+    first run with no miss, its num_cores cut to the cores it used.  That
+    table is frozen, so it serves every larger core count too.  Returns
+    None when every try misses.  trace, when given, receives one line per
+    try.
+    """
+    offsets = {dag.dag_id: tuple(a.lft[n.node_id] - n.wcet for n in dag.nodes)
+               for dag, a in analyses}
+    for cores in range(max(bound, 1), bound + _TABLE_TRIES):
+        run = list_schedule(ts, cores, offsets)
+        miss = run.first_miss
+        if trace is not None:
+            trace.append(
+                f"table on {cores} cores: ok" if miss is None else
+                f"table on {cores} cores: dag {miss.dag_id} node {miss.node_id} job {miss.job} "
+                f"finishes {miss.finish}, deadline {miss.deadline}"
+            )
+        if miss is None:
+            used = run.trace.used_cores
+            return ScheduleMap(num_cores=used, cores=run.trace.cores[:used])
+    return None
+
+
+def schedule_taskset(ts: TaskSet, trace: list[str] | None = None) -> ScheduleMap:
+    """Schedule a whole task set on as many cores as it needs.
+
+    Analyses every DAG once (raising DagInfeasibleError when a DAG's
+    critical path exceeds its deadline), then tries the list-scheduled
+    table (see table_schedule).  No map uses fewer cores than bound =
+    ceil(total utilization), so a table at the bound is the map and the
+    pipeline does not run.  Otherwise the pipeline runs on the same
+    analyses and its map is returned unless the table uses fewer cores.
+    Returns the map, whose num_cores is the core count the set needs: the
+    set fits m cores iff num_cores <= m.  trace, when given, receives one
+    line per table try, then, when the pipeline runs, one line per primary
+    placement and one with its core count, and last one line naming the
+    map returned.
+    """
+    analyses = analyze_taskset(ts)
+    busy = sum(dag.total_work * (ts.hyperperiod // dag.period) for dag in ts.dags)
+    bound = -(-busy // ts.hyperperiod)
+    mp = table_schedule(ts, analyses, bound, trace=trace)
+    name = "table"
+    if mp is None or mp.num_cores > bound:
+        pipeline = pipeline_schedule(ts, analyses, trace=trace)
+        if trace is not None:
+            trace.append(f"pipeline on {pipeline.num_cores} cores")
+        if mp is None or pipeline.num_cores <= mp.num_cores:
+            mp, name = pipeline, "pipeline"
+    if trace is not None:
+        trace.append(f"map: {name} on {mp.num_cores} cores (bound {bound})")
+    return mp

@@ -248,18 +248,31 @@ def check_work_conserving(ts: TaskSet, trace: ScheduleMap) -> list[str]:
 
 def check_edf_dispatch(ts: TaskSet, trace: ScheduleMap) -> list[str]:
     """Dispatched instances must carry the earliest deadline among waiters."""
+    return check_dispatch_order(ts, trace, lambda dag, node_id: dag.period)
+
+
+def check_dispatch_order(ts: TaskSet, trace: ScheduleMap, offset) -> list[str]:
+    """Dispatched instances must carry the least priority key among waiters.
+
+    An instance's key is its job's release plus offset(dag, node id).
+    """
     ready = eligibility_times(ts, trace)
     entries = list(trace.entries())
+
+    def key(e):
+        dag = ts.dag(e.dag_id)
+        return e.job * dag.period + offset(dag, e.node_id)
+
     problems = []
     for x in entries:
-        dx = (x.job + 1) * ts.dag(x.dag_id).period
+        kx = key(x)
         for y in entries:
             if y.start > x.start and ready[(y.dag_id, y.node_id, y.job)] <= x.start:
-                dy = (y.job + 1) * ts.dag(y.dag_id).period
-                if dy < dx:
+                ky = key(y)
+                if ky < kx:
                     problems.append(
-                        f"at t={x.start} dispatched deadline-{dx} instance while "
-                        f"deadline-{dy} instance dag {y.dag_id} node {y.node_id} "
+                        f"at t={x.start} dispatched key-{kx} instance while "
+                        f"key-{ky} instance dag {y.dag_id} node {y.node_id} "
                         f"job {y.job} was waiting"
                     )
     return problems

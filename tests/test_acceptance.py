@@ -18,7 +18,9 @@ from dagsched.baseline import gedf_np_simulate
 from dagsched.bench import GenConfig, generate_taskset, run_experiment
 from dagsched.cli import run_cli
 from dagsched.model import TaskSet, build_dag, dumps_taskset, validate_schedule
-from dagsched.scheduler import compact, extend, primary_schedule, schedule_taskset, stack_extended_schedules
+from dagsched.scheduler import (
+    analyze_taskset, compact, extend, primary_schedule, schedule_taskset, stack_extended_schedules,
+)
 
 from helpers import (
     analyzed_cp,
@@ -120,7 +122,7 @@ def test_c3_worked_examples():
 
 def test_c4_compaction_properties():
     for ts, _ in soundness_instances():
-        pre = stack_extended_schedules(ts)
+        pre = stack_extended_schedules(ts, analyze_taskset(ts))
         pre_entries = entry_multiset(pre)
         post = compact(pre, ts)
         assert len(post) <= sum(1 for lane in pre if lane)

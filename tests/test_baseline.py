@@ -7,7 +7,8 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from dagsched.baseline import gedf_np_simulate
+from dagsched.analysis import analyze_dag
+from dagsched.baseline import gedf_np_simulate, list_schedule
 from dagsched.bench import GenConfig, generate_taskset
 from dagsched.model import (
     JOB_BUDGET,
@@ -20,6 +21,7 @@ from dagsched.model import (
 from helpers import (
     allocation_limit,
     chain_dag,
+    check_dispatch_order,
     check_edf_dispatch,
     check_work_conserving,
     job_count,
@@ -199,3 +201,57 @@ def test_a_run_below_its_cap_is_the_run_of_every_larger_core_count(ts):
         assert sim.trace.cores[:used] == uncapped.trace.cores[:used], m
         assert not any(sim.trace.cores[used:]), m
         assert (sim.success, sim.first_miss) == (uncapped.success, uncapped.first_miss), m
+
+
+# --- the engine under another priority: latest start (ALAP) -----------------
+
+
+def latest_starts(ts: TaskSet) -> dict[int, tuple[int, ...]]:
+    """Each node's latest finish less its wcet, in the order of dag.nodes."""
+    out = {}
+    for dag in ts.dags:
+        lft = analyze_dag(dag).lft
+        out[dag.dag_id] = tuple(lft[n.node_id] - n.wcet for n in dag.nodes)
+    return out
+
+
+def test_alap_keys_order_dispatch_on_random_sets():
+    # the same engine keyed by release plus latest start: work conserving,
+    # every dispatch takes the least key waiting, and a run with no miss
+    # is a legal table
+    rng = random.Random(78)
+    succeeded = 0
+    for i in range(20):
+        cfg = GenConfig(collections=1, dags_per_collection=3, nodes_per_dag=(1, 7),
+                        wcet_range=(1, 5), period_menu=(6, 12, 24),
+                        edge_prob=rng.choice((0.2, 0.6, 0.9)), seed=200 + i)
+        ts, _ = generate_taskset(cfg, 0)
+        offsets = latest_starts(ts)
+        sim = list_schedule(ts, rng.choice((1, 2, 3, 4)), offsets)
+
+        def lst(dag, node_id):
+            return offsets[dag.dag_id][dag.node_ids.index(node_id)]
+
+        assert check_work_conserving(ts, sim.trace) == []
+        assert check_dispatch_order(ts, sim.trace, lst) == []
+        if sim.success:
+            succeeded += 1
+            assert validate_schedule(sim.trace, ts).ok
+    assert 0 < succeeded < 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tasksets(), st.integers(1, 4))
+def test_an_alap_run_reports_its_least_miss(ts, m):
+    # the first miss is the late entry with the least (deadline, dag, node,
+    # job), whatever the key; the run succeeds iff its trace validates
+    sim = list_schedule(ts, m, latest_starts(ts))
+    late = []
+    for e in sim.trace.entries():
+        deadline = (e.job + 1) * ts.dag(e.dag_id).period
+        if e.finish > deadline:
+            late.append((deadline, e.dag_id, e.node_id, e.job, e.finish))
+    miss = sim.first_miss
+    assert (miss and (miss.deadline, miss.dag_id, miss.node_id, miss.job, miss.finish)) == (
+        min(late) if late else None)
+    assert validate_schedule(sim.trace, ts).ok == sim.success

@@ -162,8 +162,9 @@ def test_a_draw_that_cannot_fit_leaves_the_stream_where_a_full_draw_does(cfg, dr
     ours, theirs = (bench.stream(1, "dag", 1) for _ in range(2))
     doomed = 0
     for _ in range(draws):
-        got = bench._draw_dag(cfg, ours, 1)
+        got, n = bench._draw_dag(cfg, ours, 1)
         want, fits = draw_every_edge(cfg, theirs, 1)
+        assert n == len(want.nodes)
         assert ours.getstate() == theirs.getstate()
         assert (got is not None) == fits
         if fits:
@@ -233,6 +234,23 @@ def test_generation_gives_up_after_the_draw_budget():
     cfg = GenConfig(edge_prob=1.0, nodes_per_dag=(5, 5), wcet_range=(10, 10), period_menu=(10,))
     with pytest.raises(GenerationError, match=r"collection 0, dag 1\b"):
         generate_taskset(cfg, 0)
+
+
+def test_generation_gives_up_after_the_edge_budget(monkeypatch):
+    # 1000-node DAGs never fit any period: each attempt costs 499500 edge
+    # draws, so the budget ends the collection long before MAX_DRAWS
+    cfg = GenConfig(collections=1, dags_per_collection=1, nodes_per_dag=(1000, 1000))
+    real, attempts = bench._draw_dag, []
+
+    def counted(*args):
+        attempts.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(bench, "_draw_dag", counted)
+    with pytest.raises(GenerationError, match=rf"within {bench.EDGE_BUDGET} edge draws, "
+                                              r"after 17 draws \(collection 0, dag 1\b"):
+        generate_taskset(cfg, 0)
+    assert len(attempts) == bench.EDGE_BUDGET // 499500 + 1 == 17
 
 
 def test_trivial_experiment_rates_are_one():

@@ -73,11 +73,33 @@ def test_schedule_document_goes_to_stdout(tmp_path, capsys):
 
 
 def test_schedule_trace_flag(tmp_path, capsys):
-    ts_path, _ = write_diamond(tmp_path)
-    run_cli(["schedule", "--in", str(ts_path), "--cores", "2", "--trace",
-             "--out", str(tmp_path / "s.json")])
-    captured = capsys.readouterr()
-    assert "alpha=" in captured.err
+    # --trace logs one line per table try and, last, one naming the map and
+    # its cores.  The pipeline's "-> core" placement lines, one per node,
+    # and its core count appear exactly when the pipeline runs: not on the
+    # diamond, whose table meets the bound, but on `gen --seed 0`'s set.
+    # stdout keeps its bytes.
+    ran = []
+    for ts in (TaskSet.build([diamond_dag()]), bench.generate_taskset(bench.GenConfig(), 0)[0]):
+        path = tmp_path / "ts.json"
+        path.write_text(dumps_taskset(ts))
+        args = ["schedule", "--in", str(path), "--cores", "16"]
+        assert run_cli(args) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(args + ["--trace"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        *lines, maps, verdict = captured.err.splitlines()
+        tries = [line for line in lines if line.startswith("table on ")]
+        placements = [line for line in lines if " -> core " in line]
+        pipeline = [line for line in lines if line.startswith("pipeline on ")]
+        assert lines == tries + placements + pipeline
+        assert 1 <= len(tries) <= 3 and len(pipeline) <= 1
+        assert len(placements) == (sum(len(d.nodes) for d in ts.dags) if pipeline else 0)
+        cores = load_schedule(plain).num_cores
+        assert maps.startswith(f"map: {'pipeline' if pipeline else 'table'} on {cores} cores")
+        assert verdict.startswith(f"schedulable: {cores} core")
+        ran.append(bool(pipeline))
+    assert ran == [False, True]
 
 
 def test_validate_good_and_bad(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Compaction against its reference implementation, stage by stage.
 
+These tests drive the five-step pipeline itself (pipeline_schedule), which
+schedule_taskset skips when its list-scheduled table meets the core bound,
+so they check compaction on every set whatever the table finds.
 Every compact call the pipeline makes (one per DAG inside
 stack_extended_schedules, then one global pass) is recorded and replayed
 through reference_compact, which must give identical lanes.  The same
@@ -66,9 +69,14 @@ def recorded_stages():
         yield calls
 
 
+def pipeline(ts: TaskSet):
+    """The pipeline's map of ts, on the analyses schedule_taskset would give it."""
+    return scheduler.pipeline_schedule(ts, scheduler.analyze_taskset(ts))
+
+
 def schedule_recorded(ts: TaskSet):
     with recorded_stages() as calls:
-        mp = scheduler.schedule_taskset(ts)
+        mp = pipeline(ts)
     # no schedule fits in fewer cores than the total utilization
     assert mp.num_cores >= math.ceil(sum(d.utilization for d in ts.dags))
     return mp, calls
@@ -178,7 +186,7 @@ def checked_rungs(ts: TaskSet):
 
 def schedule_checking_rungs(ts: TaskSet) -> None:
     with checked_rungs(ts) as calls:
-        scheduler.schedule_taskset(ts)
+        pipeline(ts)
     # every compact call builds one compactor
     assert len(calls) == sum(1 for d in ts.dags if d.nodes) + 1
     for bound, rungs in calls:
@@ -254,7 +262,7 @@ def test_compact_at_the_bound_after_the_baseline_sweeps_runs_no_trial():
     for c in range(DEFAULT_COLLECTIONS):
         ts, _ = generate_taskset(cfg, c)
         with checked_rungs(ts) as calls:
-            scheduler.schedule_taskset(ts)
+            pipeline(ts)
         for bound, rungs in calls:
             if rungs[0][2] == bound:
                 at_bound += 1
@@ -294,7 +302,7 @@ def test_third_restretch_cycle_saves_a_core(seed, collection, cores):
     # on default-config seeds 0-2, the only sets where restretch cycle 3
     # lowers the core count; with two cycles each needs one core more
     ts, _ = generate_taskset(GenConfig(seed=seed), collection)
-    assert scheduler.schedule_taskset(ts).num_cores == cores
+    assert pipeline(ts).num_cores == cores
 
 
 @pytest.mark.parametrize("collection,trials", [
@@ -307,7 +315,7 @@ def test_trial_is_kept_only_when_it_frees_a_core(monkeypatch, collection, trials
     # exactly when used() fell, and a rejected one leaves every lane with
     # the same placements, by identity, at the same starts.
     ts, _ = generate_taskset(GenConfig(), collection)
-    lanes = scheduler.stack_extended_schedules(ts)
+    lanes = scheduler.stack_extended_schedules(ts, scheduler.analyze_taskset(ts))
     real_trial = scheduler._Compactor.trial
     seen = []
 
@@ -357,7 +365,7 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
 
     monkeypatch.setattr(scheduler._Compactor, "_fill", counted_fill)
     monkeypatch.setattr(scheduler.Placement, "ups", property(counted_ups, ups.__set__))
-    assert scheduler.schedule_taskset(ts).num_cores == 18
+    assert pipeline(ts).num_cores == 18
     # without the skip every mover in its window has its links read
     assert counts == {"in_window": 12038, "links_read": 5497}
 
@@ -370,9 +378,9 @@ def test_compaction_leaves_no_reference_cycles():
     gc.disable()
     try:
         for c in range(20):
-            scheduler.schedule_taskset(generate_taskset(GenConfig(), c)[0])
+            pipeline(generate_taskset(GenConfig(), c)[0])
         ladder = GenConfig(collections=1, dags_per_collection=20, seed=3)
-        scheduler.schedule_taskset(generate_taskset(ladder, 0)[0])
+        pipeline(generate_taskset(ladder, 0)[0])
         run_experiment(GenConfig(collections=5), [4, 8, 16])
         assert gc.collect() == 0
     finally:

@@ -8,15 +8,19 @@ import pytest
 from dagsched import analysis, scheduler
 from dagsched.analysis import analyze_dag, prior_plus
 from dagsched.bench import GenConfig, generate_taskset
-from dagsched.model import TaskSet, build_dag, dumps_schedule, validate_schedule
+from dagsched.baseline import list_schedule
+from dagsched.model import ScheduleMap, TaskSet, build_dag, dumps_schedule, validate_schedule
 from dagsched.scheduler import (
     DagInfeasibleError,
     Placement,
+    analyze_taskset,
     compact,
     extend,
+    pipeline_schedule,
     primary_schedule,
     schedule_taskset,
     stack_extended_schedules,
+    table_schedule,
 )
 
 from helpers import (
@@ -211,7 +215,7 @@ def test_compact_moves_the_placements_it_is_given(diamond, diamond_ts):
     # runs on the caller's placements too.
     ts, _ = generate_taskset(GenConfig(), 5)
     for lanes, tset in ((primary_schedule(diamond, analyze_dag(diamond)), diamond_ts),
-                        (stack_extended_schedules(ts), ts)):
+                        (stack_extended_schedules(ts, analyze_taskset(ts)), ts)):
         before = copy_lanes(lanes)
         members = [[id(p) for p in lane] for lane in lanes]
         got = compact(lanes, tset)
@@ -226,7 +230,7 @@ def test_compact_returns_plain_placements_without_links(diamond, diamond_ts):
     # the links to their parent and child placements cleared
     ts, _ = generate_taskset(GenConfig(), 5)
     for lanes, tset in ((primary_schedule(diamond, analyze_dag(diamond)), diamond_ts),
-                        (stack_extended_schedules(ts), ts)):
+                        (stack_extended_schedules(ts, analyze_taskset(ts)), ts)):
         for lane in compact(lanes, tset):
             for p in lane:
                 assert type(p) is Placement
@@ -313,7 +317,10 @@ def test_schedule_not_enough_cores():
 
 
 def test_schedule_empty_taskset():
-    assert schedule_taskset(TaskSet.build([])).num_cores == 0
+    # no work: the table runs on one core, uses none, and the map is the
+    # empty map on no cores, with or without node-less DAGs
+    for ts in (TaskSet.build([]), TaskSet.build([build_dag(1, 5, {}), build_dag(2, 7, {})])):
+        assert schedule_taskset(ts) == ScheduleMap(num_cores=0, cores=())
 
 
 def test_schedule_two_periods_interleave():
@@ -344,7 +351,7 @@ def test_stacked_blocks_cover_each_dag_once():
             build_dag(2, 5, {1: 1}),
         ]
     )
-    lanes = stack_extended_schedules(ts)
+    lanes = stack_extended_schedules(ts, analyze_taskset(ts))
     assert_ranked(lanes, ts)
     assert_windowed(lanes, ts)
     counts: dict[tuple[int, int, int], int] = {}
@@ -413,36 +420,147 @@ def test_huge_period_single_node():
     assert validate_schedule(mp, ts).ok
 
 
+# --- candidate choice: the list-scheduled table or the pipeline ---------------
+
+
+def core_bound(ts: TaskSet) -> int:
+    """ceil(total utilization), in integers."""
+    busy = sum(d.total_work * (ts.hyperperiod // d.period) for d in ts.dags)
+    return -(-busy // ts.hyperperiod)
+
+
+def scheduled_with_pipeline_count(ts: TaskSet, monkeypatch) -> tuple[ScheduleMap, int]:
+    runs = []
+    real = scheduler.pipeline_schedule
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scheduler, "pipeline_schedule", counted)
+        got = schedule_taskset(ts)
+    return got, len(runs)
+
+
+def test_the_table_is_the_map_iff_it_meets_the_bound(monkeypatch):
+    # A table at the bound is returned and the pipeline never runs.
+    # Otherwise the pipeline runs and the map with fewer cores wins, ties
+    # going to the pipeline.  Every map validates.
+    small = GenConfig(collections=60, dags_per_collection=3, nodes_per_dag=(1, 6),
+                      wcet_range=(1, 5), period_menu=(6, 12, 24), seed=33)
+    sets = [generate_taskset(GenConfig(seed=0), c)[0] for c in range(40)]
+    sets += [generate_taskset(small, c)[0] for c in range(small.collections)]
+    outcomes = set()
+    for ts in sets:
+        got, runs = scheduled_with_pipeline_count(ts, monkeypatch)
+        assert validate_schedule(got, ts).ok
+        bound = core_bound(ts)
+        analyses = analyze_taskset(ts)
+        table = table_schedule(ts, analyses, bound)
+        if table is not None:
+            assert validate_schedule(table, ts).ok
+            assert table.num_cores >= bound
+        if table is not None and table.num_cores == bound:
+            assert (got, runs) == (table, 0)
+            outcomes.add("table at the bound")
+            continue
+        pipeline = pipeline_schedule(ts, analyses)
+        assert runs == 1
+        if table is not None and table.num_cores < pipeline.num_cores:
+            assert got == table
+            outcomes.add("table")
+        else:
+            assert got == pipeline
+            outcomes.add("pipeline")
+    assert outcomes == {"table at the bound", "table", "pipeline"}
+
+
+def test_a_tie_goes_to_the_pipeline():
+    # default seed 0, collection 1: bound 5, and both candidates need 6 cores
+    ts, _ = generate_taskset(GenConfig(seed=0), 1)
+    analyses = analyze_taskset(ts)
+    table = table_schedule(ts, analyses, core_bound(ts))
+    pipeline = pipeline_schedule(ts, analyses)
+    assert (core_bound(ts), table.num_cores, pipeline.num_cores) == (5, 6, 6)
+    assert table != pipeline
+    assert schedule_taskset(ts) == pipeline
+
+
+def test_the_table_search_covers_two_counts_past_the_bound():
+    # default seed 1, collection 88: the table misses on 3 and 4 cores, meets
+    # every deadline on 5 and misses again on 6 and 7 (Graham's anomalies:
+    # success is not monotone in the core count).  The search stops at the
+    # bound + 2 = 5 cores; the pipeline's 4-core map wins.
+    ts, _ = generate_taskset(GenConfig(seed=1), 88)
+    analyses = analyze_taskset(ts)
+    offsets = {dag.dag_id: tuple(a.lft[n.node_id] - n.wcet for n in dag.nodes)
+               for dag, a in analyses}
+    assert core_bound(ts) == 3
+    assert [list_schedule(ts, m, offsets).success for m in range(3, 8)] == [
+        False, False, True, False, False]
+    trace: list[str] = []
+    table = table_schedule(ts, analyses, 3, trace=trace)
+    assert table.num_cores == 5 and validate_schedule(table, ts).ok
+    assert [line.split(":")[0] for line in trace] == [
+        "table on 3 cores", "table on 4 cores", "table on 5 cores"]
+    assert trace[-1] == "table on 5 cores: ok"
+    assert schedule_taskset(ts).num_cores == 4
+    # when every try misses there is no table: from 1, the tries are 1, 2, 3
+    assert table_schedule(ts, analyses, 1) is None
+
+
+def test_an_infeasible_dag_raises_before_any_table_run(monkeypatch):
+    # the error names the first infeasible DAG in utilization order and the
+    # node primary placement would name, and no table is tried
+    heavy_late = build_dag(3, 8, {1: 4, 2: 5, 3: 6}, [(1, 2)])  # U 15/8, path 9 > 8
+    light_late = build_dag(2, 8, {1: 5, 2: 4}, [(1, 2)])  # U 9/8, path 9 > 8
+    fine = build_dag(1, 4, {1: 4, 2: 4, 3: 4})  # U 3, the heaviest, feasible
+    ts = TaskSet.build([fine, light_late, heavy_late])
+
+    def forbidden(*args):
+        raise AssertionError("a table was tried")
+
+    monkeypatch.setattr(scheduler, "list_schedule", forbidden)
+    with pytest.raises(DagInfeasibleError) as err:
+        schedule_taskset(ts)
+    with pytest.raises(DagInfeasibleError) as placed:
+        primary_schedule(heavy_late, analyze_dag(heavy_late))
+    assert (err.value.dag_id, err.value.node_id) == (placed.value.dag_id, placed.value.node_id)
+    assert err.value.dag_id == 3
+
+
 @pytest.mark.parametrize(
     "cfg,collections,cores,digest",
     [
-        (GenConfig(seed=1), 200, 1032,
-         "09ba3661d138ad74b788329a1ecd1f458f1cf9639bf561b7d9536e821380b99a"),
-        (GenConfig(seed=1009), 200, 1067,
-         "c293e78e39090334d4f6f4f242145802171d3f5ffa79aff879bb19ec9a94a7e0"),
-        (GenConfig(collections=1, dags_per_collection=5, seed=3), 1, 5,
-         "6c3c10a08bcfedda8eff97cfd7c701498eb153db51cfa372f2e511710f3439e2"),
-        (GenConfig(collections=1, dags_per_collection=10, seed=3), 1, 10,
-         "d1909186bc8cf34af098444a44049f2a4b0940eb72cd84e8ef48b99676422acd"),
-        (GenConfig(collections=1, dags_per_collection=20, seed=3), 1, 18,
-         "cc02ef251b9185debc10bd49149ef40e5dc673ef684f0c55a059c72a8ca502c2"),
-        (GenConfig(collections=1, dags_per_collection=40, seed=3), 1, 32,
-         "6b255815c565e75931a560774e62658f31b2b431092925a1f027fe386de81893"),
-        (GenConfig(collections=4, period_menu=(40, 50, 100, 400), seed=1), 4, 19,
-         "d07aba0047f1b49cb6fa356ccac33e076063289797b332f61ace4ea50c5671af"),
-        (GenConfig(collections=4, period_menu=(40, 50, 100, 800), seed=1), 4, 19,
-         "805b7239a2e7949f4c470354107255ba88824cde0589a5bbb546d198e2740b07"),
-        (GenConfig(collections=4, period_menu=(40, 50, 100, 1600), seed=1), 4, 19,
-         "1cef2e6cc3a2596ad81113e83e995507dab45e640c3a14b27cbf38a171626466"),
+        (GenConfig(seed=1), 200, 946,
+         "41ab65b17ed5f0f70efc704fe08fe6c66eb28d80c0f8e9cc18edb4de75b7d0c6"),
+        (GenConfig(seed=1009), 200, 966,
+         "80d5a3a77fb329fc0abd86c43ed393fb6a7cdf7f534de6ffc15858c149bfe5af"),
+        (GenConfig(collections=1, dags_per_collection=5, seed=3), 1, 4,
+         "3a761d007d51a298cc47c404521e96a6b8a6207fe5b1adb0d0b4eb38a7925305"),
+        (GenConfig(collections=1, dags_per_collection=10, seed=3), 1, 9,
+         "50a2069014013dc729995fd181d57818969b890724e4038848126bfcf9d72868"),
+        (GenConfig(collections=1, dags_per_collection=20, seed=3), 1, 17,
+         "2d31abd4a8f434ddddc6fb7dea18aec741cb6a3af1967f9d1436a8437fd8cf43"),
+        (GenConfig(collections=1, dags_per_collection=40, seed=3), 1, 30,
+         "6d28badb576348f78479fa68e686d1c99b209de7807fb0b76d2aa25bcdbe04ad"),
+        (GenConfig(collections=4, period_menu=(40, 50, 100, 400), seed=1), 4, 15,
+         "bfd57110db3baff23eefd10eeac55532bb1e459b4146d94f92232e6e31c432f1"),
+        (GenConfig(collections=4, period_menu=(40, 50, 100, 800), seed=1), 4, 15,
+         "3f22b1007254c5f20ab78c8449165dfb0000eb5c77e4e347d358ab075368204f"),
+        (GenConfig(collections=4, period_menu=(40, 50, 100, 1600), seed=1), 4, 14,
+         "21f4f03530575dd67bf802b686ab3d1ef90da818c293f61c2af1fa4d9a76169f"),
     ],
     ids=["seed-1", "seed-1009", "ladder-5", "ladder-10", "ladder-20", "ladder-40",
          "hyperperiod-400", "hyperperiod-800", "hyperperiod-1600"],
 )
 def test_schedule_documents_are_pinned(cfg, collections, cores, digest):
-    # The schedule documents the pipeline writes: the core total over the
-    # collections, and the sha256 of their documents concatenated in
-    # collection order.  A change to placement or compaction that means to
-    # keep every output must keep both.
+    # The schedule documents schedule_taskset writes (the table or the
+    # pipeline's map): the core total over the collections, and the sha256
+    # of their documents concatenated in collection order.  A change to
+    # the table, placement or compaction that means to keep every output
+    # must keep both.
     h = hashlib.sha256()
     total = 0
     for c in range(collections):
