@@ -299,10 +299,10 @@ def _run_collection(cfg: GenConfig, ms: tuple[int, ...], c: int) -> tuple[list[R
     time is the task set's work over the hyperperiod, counted once.
     """
     ts, redraws = generate_taskset(cfg, c)
-    busy = sum(d.total_work * (ts.hyperperiod // d.period) for d in ts.dags)
     mp = schedule_taskset(ts)
     _validate(mp, ts, cfg, c, "scheduler output")
     used = mp.num_cores
+    busy = ts.busy
     p_util = busy / (used * ts.hyperperiod)
     rows = []
     for m in ms:

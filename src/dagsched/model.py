@@ -132,6 +132,11 @@ class TaskSet:
     def dag(self, dag_id: int) -> DagSpec:
         return self._by_id[dag_id]
 
+    @property
+    def busy(self) -> int:
+        """Ticks of work released over the hyperperiod; any valid schedule runs them all."""
+        return sum(d.total_work * (self.hyperperiod // d.period) for d in self.dags)
+
     @classmethod
     def build(cls, dags: Iterable[DagSpec]) -> "TaskSet":
         dags = tuple(sorted(dags, key=lambda d: d.dag_id))

@@ -3,7 +3,7 @@
 Every DAG is analysed once.  The first candidate map is a list-scheduled
 table: the baseline's engine run with each node keyed by its job's release
 plus the node's latest start (ALAP priority), at ceil(total utilization)
-cores and the two counts above it.  When that table meets the bound no map
+cores and the count above it.  When that table meets the bound no map
 can use fewer cores, and it is the map.  Otherwise the five-step pipeline
 runs on the same analyses and the map with fewer cores wins, ties going to
 the pipeline's map, the more partitioned one.
@@ -32,13 +32,15 @@ from .analysis import DagAnalysis, analyze_dag, prior_plus
 from .baseline import list_schedule
 from .model import DagSpec, ScheduleEntry, ScheduleMap, TaskSet
 
-_RESTRETCH_CYCLES = 3  # restretch+sweep cycles in each restretch trial of compact
+# Restretch+sweep cycles per restretch trial of compact.  Two keep every map
+# of seeds 1-10 and 1009 but cost 4 cores and 4 m = 5 successes on 11-30.
+_RESTRETCH_CYCLES = 3
 # Core counts the table tries, from the bound up.  Success is not monotone
 # in the core count (Graham's anomalies), so the first success may lie above
-# a failure.  On the 2200 default sets of seeds 1-10 and 1009 it lay past
-# bound + 2 on 12, and on each of them the pipeline's map used fewer cores,
-# so the cap lost none.
-_TABLE_TRIES = 3
+# a failure.  A bound + 2 try was never the map on the 6200 default sets of
+# seeds 1-30 and 1009 or on the scale and hyperperiod ladders: where the
+# table first met every deadline there, the pipeline used no more cores.
+_TABLE_TRIES = 2
 _WIDTH = attrgetter("width")
 
 
@@ -305,8 +307,7 @@ class _Compactor:
                     if c.start < fin:
                         break
                 else:
-                    key = (cand.rank, d + w, chosen - gap_start,
-                           cand.dag_id, cand.node_id, cand.job)
+                    key = (cand.rank, d + w, cand.dag_id, cand.node_id, cand.job)
                     if best_key is None or key < best_key:
                         best, best_core, best_key, best_start = cand, cj, key, chosen
                         best_rank = cand.rank
@@ -422,18 +423,12 @@ def compact(cores: Sequence[Sequence[Placement]], ts: TaskSet) -> list[list[Plac
     the first entry) and its own start.  One action fills it: the
     best-fitting task from a higher-indexed core moves in — lowest
     effective prior-plus load first, then earliest feasible finish, then
-    smallest penalty (chosen start minus gap start) — or, when no mover
-    fits, the entry itself shifts left to its earliest legal start.  A move
-    must respect the mover's parents' finishes, its children's starts, and
-    its static window.
-
-    Three exact prunings keep the choice of every move as it would be
-    without them.  A fill skips each mover whose static window (the
-    placement's lo and hi: release plus the node's earliest start and
-    latest finish) rules out the hole, since no legal layout puts a job
-    outside that window, and each mover ranked above the best found so far,
-    since rank leads the preference; and its walk of a lane stops at the
-    first mover too wide for the hole (see _Compactor._fill).
+    lowest (dag, node, job) — or, when no mover fits, the entry itself
+    shifts left to its earliest legal start.  A move must respect the
+    mover's parents' finishes, its children's starts, and its static
+    window.  Three exact prunings, the static window, the rank skip and
+    the width-ordered early stop, leave every move as it would be without
+    them (see _Compactor._fill).
 
     Sweeps repeat until none acts.  The baseline sweeps restrict the
     self-shift to each core's free prefix; the loosened sweeps also slide
@@ -581,7 +576,7 @@ def table_schedule(
 
     Runs the baseline's engine with each node's offset its latest start
     (latest finish less wcet, from analyses, which is analyze_taskset(ts))
-    at bound, bound + 1, ... for _TABLE_TRIES core counts, and returns the
+    at bound and bound + 1 (_TABLE_TRIES core counts), and returns the
     first run with no miss, its num_cores cut to the cores it used.  That
     table is frozen, so it serves every larger core count too.  Returns
     None when every try misses.  trace, when given, receives one line per
@@ -620,8 +615,7 @@ def schedule_taskset(ts: TaskSet, trace: list[str] | None = None) -> ScheduleMap
     map returned.
     """
     analyses = analyze_taskset(ts)
-    busy = sum(dag.total_work * (ts.hyperperiod // dag.period) for dag in ts.dags)
-    bound = -(-busy // ts.hyperperiod)
+    bound = -(-ts.busy // ts.hyperperiod)
     mp = table_schedule(ts, analyses, bound, trace=trace)
     name = "table"
     if mp is None or mp.num_cores > bound:

@@ -115,7 +115,6 @@ class _Compactor:
                 key = (
                     ctx.prior[(cand.dag_id, cand.node_id)] + cand.job * ctx.work[cand.dag_id],
                     d + w,
-                    chosen - gap_start,
                     cand.dag_id,
                     cand.node_id,
                     cand.job,

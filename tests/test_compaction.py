@@ -335,6 +335,33 @@ def test_trial_is_kept_only_when_it_frees_a_core(monkeypatch, collection, trials
     assert seen == trials
 
 
+def test_fill_key_ties_go_to_the_lowest_ids():
+    # Two movers tie on rank and finish: dag 1's node 2 waits for its
+    # parent until 3 and finishes at 4, dag 2's node starts at the hole's
+    # start and also finishes at 4, and both have prior-plus load 4.  The
+    # key's last terms are (dag, node, job), so dag 1's node moves, though
+    # it leaves a wider gap before it in the hole.
+    dags = [build_dag(1, 20, {1: 3, 2: 1}, [(1, 2)]),
+            build_dag(2, 20, {1: 4}),
+            build_dag(3, 20, {1: 1, 2: 1})]
+    ts = TaskSet.build(dags)
+
+    def placed(dag_id, node_id, start):
+        dag, a = ts.dag(dag_id), analyze_dag(ts.dag(dag_id))
+        return scheduler.Placement(dag_id, node_id, 0, start, start + dag.node(node_id).wcet,
+                                   a.prior_plus[node_id], a.est[node_id], a.lft[node_id])
+
+    lanes = [[placed(3, 1, 0), placed(3, 2, 10)],
+             [placed(1, 1, 0), placed(1, 2, 3)],
+             [placed(2, 1, 0)]]
+    assert [p.rank for p in (lanes[1][1], lanes[2][0])] == [4, 4]
+    work = scheduler._Compactor(lanes, ts)
+    assert work._fill(0, 1, 1, 10, [(work.movers[1], 1), (work.movers[2], 2)])
+    assert [(p.dag_id, p.node_id, p.start) for p in work.lanes[0]] == [
+        (3, 1, 0), (1, 2, 3), (3, 2, 10)]
+    assert [len(lane) for lane in work.lanes] == [3, 1, 1]
+
+
 def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
     # A fill reads the links of a mover that fits the hole's width and its
     # static window only while the mover's rank is at most the best rank
@@ -367,7 +394,7 @@ def test_rank_skip_spares_movers_on_a_ladder_set(monkeypatch):
     monkeypatch.setattr(scheduler.Placement, "ups", property(counted_ups, ups.__set__))
     assert pipeline(ts).num_cores == 18
     # without the skip every mover in its window has its links read
-    assert counts == {"in_window": 12038, "links_read": 5497}
+    assert counts == {"in_window": 12119, "links_read": 5540}
 
 
 def test_compaction_leaves_no_reference_cycles():

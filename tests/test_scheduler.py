@@ -425,8 +425,7 @@ def test_huge_period_single_node():
 
 def core_bound(ts: TaskSet) -> int:
     """ceil(total utilization), in integers."""
-    busy = sum(d.total_work * (ts.hyperperiod // d.period) for d in ts.dags)
-    return -(-busy // ts.hyperperiod)
+    return -(-ts.busy // ts.hyperperiod)
 
 
 def scheduled_with_pipeline_count(ts: TaskSet, monkeypatch) -> tuple[ScheduleMap, int]:
@@ -487,11 +486,12 @@ def test_a_tie_goes_to_the_pipeline():
     assert schedule_taskset(ts) == pipeline
 
 
-def test_the_table_search_covers_two_counts_past_the_bound():
+def test_the_table_search_covers_the_bound_and_one_count_past_it():
     # default seed 1, collection 88: the table misses on 3 and 4 cores, meets
     # every deadline on 5 and misses again on 6 and 7 (Graham's anomalies:
     # success is not monotone in the core count).  The search stops at the
-    # bound + 2 = 5 cores; the pipeline's 4-core map wins.
+    # bound + 1 = 4 cores, so there is no table and the pipeline's 4-core
+    # map is returned.
     ts, _ = generate_taskset(GenConfig(seed=1), 88)
     analyses = analyze_taskset(ts)
     offsets = {dag.dag_id: tuple(a.lft[n.node_id] - n.wcet for n in dag.nodes)
@@ -500,14 +500,23 @@ def test_the_table_search_covers_two_counts_past_the_bound():
     assert [list_schedule(ts, m, offsets).success for m in range(3, 8)] == [
         False, False, True, False, False]
     trace: list[str] = []
-    table = table_schedule(ts, analyses, 3, trace=trace)
-    assert table.num_cores == 5 and validate_schedule(table, ts).ok
-    assert [line.split(":")[0] for line in trace] == [
-        "table on 3 cores", "table on 4 cores", "table on 5 cores"]
-    assert trace[-1] == "table on 5 cores: ok"
-    assert schedule_taskset(ts).num_cores == 4
-    # when every try misses there is no table: from 1, the tries are 1, 2, 3
+    assert table_schedule(ts, analyses, 3, trace=trace) is None
+    assert [line.split(":")[0] for line in trace] == ["table on 3 cores", "table on 4 cores"]
+    trace = []
+    mp = schedule_taskset(ts, trace=trace)
+    assert mp.num_cores == 4 and validate_schedule(mp, ts).ok
+    assert trace[-1] == "map: pipeline on 4 cores (bound 3)"
+    # from 1, the tries are 1 and 2
     assert table_schedule(ts, analyses, 1) is None
+    # default seed 1, collection 3: the table misses on the bound of 4
+    # cores and meets every deadline on 5, where the pipeline needs 6, so
+    # the bound + 1 table is the map
+    ts, _ = generate_taskset(GenConfig(seed=1), 3)
+    analyses = analyze_taskset(ts)
+    table = table_schedule(ts, analyses, 4)
+    assert core_bound(ts) == 4 and pipeline_schedule(ts, analyses).num_cores == 6
+    assert table.num_cores == 5 and validate_schedule(table, ts).ok
+    assert schedule_taskset(ts) == table
 
 
 def test_an_infeasible_dag_raises_before_any_table_run(monkeypatch):
@@ -534,9 +543,9 @@ def test_an_infeasible_dag_raises_before_any_table_run(monkeypatch):
     "cfg,collections,cores,digest",
     [
         (GenConfig(seed=1), 200, 946,
-         "41ab65b17ed5f0f70efc704fe08fe6c66eb28d80c0f8e9cc18edb4de75b7d0c6"),
+         "17525bd59c0d19d2cf5d79d7b3d42da0f56d8f014d08f00b0c96017009118fc9"),
         (GenConfig(seed=1009), 200, 966,
-         "80d5a3a77fb329fc0abd86c43ed393fb6a7cdf7f534de6ffc15858c149bfe5af"),
+         "32e5a8ee18bbf36765c7150e3fffb79b11d633fe73911d8a3558b36dc498da0a"),
         (GenConfig(collections=1, dags_per_collection=5, seed=3), 1, 4,
          "3a761d007d51a298cc47c404521e96a6b8a6207fe5b1adb0d0b4eb38a7925305"),
         (GenConfig(collections=1, dags_per_collection=10, seed=3), 1, 9,
